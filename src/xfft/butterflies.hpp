@@ -117,7 +117,8 @@ inline void small_dft(std::complex<T>* v, unsigned r, bool inverse,
 /// can keep in registers and vectorize. The arithmetic — loads, dft8,
 /// ascending-i twiddle multiplies with index (i*j % block) * tw_stride,
 /// stores — is identical in order to the generic path, so results are
-/// bit-for-bit the same (the XMTC-vs-library exactness tests rely on it).
+/// bit-for-bit the same (tests/fft/test_dif_oracle.cpp pins this against a
+/// serial per-butterfly reference).
 template <typename T>
 inline void radix8_dif_block(std::complex<T>* p, std::size_t sub,
                              std::size_t block, std::size_t tw_stride,

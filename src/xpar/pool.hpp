@@ -14,7 +14,7 @@
 //    function of (range, grain), never of thread count or timing — the
 //    size-1 pool replays the same halving split. (Auto grain, grain <= 0,
 //    scales with the pool size; bodies that write disjoint outputs per
-//    index — every use in xfft/xmtc/xcheck — still produce byte-identical
+//    index — every use in xfft/xcheck — still produce byte-identical
 //    results at any thread count, including 1.)
 //  - parallel_reduce: the range is cut into fixed chunks (grain-derived,
 //    thread-count independent), partials land in a chunk-indexed array,
@@ -114,7 +114,7 @@ class ThreadPool {
   /// hardware_concurrency (at least 1).
   [[nodiscard]] static unsigned default_thread_count();
 
-  /// Process-wide pool used by xfft/xmtc/xcheck and the benches.
+  /// Process-wide pool used by xfft/xcheck and the benches.
   [[nodiscard]] static ThreadPool& global();
 
   /// Replaces the global pool (the CLI `--threads` knob and the tests'

@@ -1,6 +1,8 @@
 #include "xserve/serve.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "xfault/resilient_fft.hpp"
@@ -29,7 +31,8 @@ bool q15_feasible(xfft::Dims3 dims) {
   return dims.rank() == 1 && is_pow2(dims.nx);
 }
 
-/// Validates a request shape; returns a non-empty message on rejection.
+/// Validates a request shape and its data; returns a non-empty message on
+/// rejection.
 std::string validate_request(const JobRequest& req) {
   if (req.dims.nx < 1 || req.dims.ny < 1 || req.dims.nz < 1) {
     return "dims must all be >= 1";
@@ -46,6 +49,28 @@ std::string validate_request(const JobRequest& req) {
     } catch (const xutil::Error& e) {
       return e.what();
     }
+  }
+  // Every butterfly output is a sum of inputs times unit-modulus twiddles,
+  // so its components stay within the input's L1 norm, at most 2N times the
+  // largest |component|. Capping components at FLT_MAX / 4N keeps the
+  // spectrum finite with 2x slack for rounding. The negated comparison also
+  // catches NaN, and the loop has no floating-point reduction, so it
+  // vectorizes.
+  const float limit = std::numeric_limits<float>::max() /
+                      (4.0F * static_cast<float>(req.data.size()));
+  int out_of_range = 0;
+  for (const xfft::Cf& v : req.data) {
+    out_of_range |= static_cast<int>(!(std::abs(v.real()) <= limit));
+    out_of_range |= static_cast<int>(!(std::abs(v.imag()) <= limit));
+  }
+  if (out_of_range != 0) {
+    const bool finite = std::all_of(
+        req.data.begin(), req.data.end(), [](const xfft::Cf& v) {
+          return std::isfinite(v.real()) && std::isfinite(v.imag());
+        });
+    return finite ? "a data component exceeds FLT_MAX / (4 * length), so "
+                    "the single-precision spectrum could overflow"
+                  : "data holds a NaN or infinite value";
   }
   return {};
 }

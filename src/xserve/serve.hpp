@@ -67,7 +67,7 @@ enum class ServeStatus {
   kDeadlineExceeded,  ///< deadline expired while queued or mid-execution
   kCancelled,         ///< caller cancelled (or the server shut down first)
   kFaultExhausted,    ///< fault plan defeated the retry budget (or is permanent)
-  kInvalid,           ///< malformed request (dims, buffer, fault spec)
+  kInvalid,           ///< malformed request (dims, buffer, data, fault spec)
 };
 
 [[nodiscard]] const char* status_name(ServeStatus s);

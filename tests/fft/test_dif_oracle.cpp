@@ -1,0 +1,170 @@
+// Exactness oracle for the plan library's DIF kernels.
+//
+// The reference below is the paper's breadth-first radix-8 DIF program
+// (Section IV-A) run serially, one butterfly at a time: r strided loads,
+// small_dft, twiddles read from the replicated lookup table (decimated
+// between iterations), then an in-place store — or, on the last iteration
+// of a multi-dimensional pass, a store through the fused axis rotation. It
+// shares only the radix choice, the small-DFT cores, the digit-reversal map
+// and the twiddle values with Plan1D/PlanND, so EXPECT_EQ against them pins
+// the batched radix8_dif_block loop and the fused-rotation scatter to the
+// per-butterfly arithmetic bit for bit. The suites are named after the
+// paper's XMTC FFT program, of which the reference is a serial transcription.
+#include <gtest/gtest.h>
+
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "test_helpers.hpp"
+#include "xfft/butterflies.hpp"
+#include "xfft/fftnd.hpp"
+#include "xfft/permute.hpp"
+#include "xfft/plan1d.hpp"
+#include "xfft/twiddle.hpp"
+
+namespace {
+
+using xfft::Cf;
+using xfft::Dims3;
+using xfft::Direction;
+using xfft_test::random_signal;
+using xfft_test::relative_max_error;
+using xfft_test::tol_f;
+
+constexpr std::size_t kReplicas = 4;  // any count >= 2 exercises replication
+constexpr Direction kDirs[] = {Direction::kForward, Direction::kInverse};
+
+/// Runs every DIF stage over each length-`len` (>= 2) row of `buf`. With
+/// `rotated` null the rows end in digit-reversed order in place; otherwise
+/// the last stage writes frequency k of row `row` to rotated[k*rows + row].
+void dif_rows(std::span<Cf> buf, std::size_t len, Direction dir, Cf* rotated) {
+  const std::size_t rows = buf.size() / len;
+  const auto radices = xfft::choose_radices(len, 8);
+  xfft::ReplicatedTwiddleTable table(len, kReplicas, dir);
+  const xfft::TwiddleTable<float> master(len, dir);
+  const auto perm = xfft::dif_output_permutation(radices, len);
+  std::vector<std::size_t> freq(len);
+  for (std::size_t k = 0; k < len; ++k) freq[perm[k]] = k;
+
+  std::size_t block = len;
+  for (std::size_t s = 0; s < radices.size(); ++s) {
+    const unsigned r = radices[s];
+    const std::size_t sub = block / r;
+    const bool fused = rotated != nullptr && s + 1 == radices.size();
+    // One virtual thread per butterfly, in thread-id order.
+    for (std::size_t tid = 0; tid < buf.size() / r; ++tid) {
+      const std::size_t row = tid / (len / r);
+      const std::size_t j = tid % (len / r);
+      const std::size_t first = (j / sub) * block + j % sub;
+      Cf* p = buf.data() + row * len;
+      Cf v[xfft::kMaxRadix];
+      for (unsigned i = 0; i < r; ++i) v[i] = p[first + i * sub];
+      xfft::small_dft(v, r, dir == Direction::kInverse, master, len);
+      for (unsigned i = 1; i < r; ++i) {
+        v[i] *= table.read(tid, (i * (j % sub) % block) * (len / block));
+      }
+      for (unsigned i = 0; i < r; ++i) {
+        const std::size_t pos = first + i * sub;
+        (fused ? rotated[freq[pos] * rows + row] : p[pos]) = v[i];
+      }
+    }
+    if (s + 1 < radices.size()) table.decimate(r);
+    block = sub;
+  }
+}
+
+void scale_inverse(std::vector<Cf>& x, Direction dir) {
+  if (dir != Direction::kInverse) return;
+  const float s = 1.0F / static_cast<float>(x.size());
+  for (auto& v : x) v *= s;
+}
+
+std::vector<Cf> reference_fft1d(std::vector<Cf> x, Direction dir) {
+  const std::size_t n = x.size();
+  dif_rows(x, n, dir, nullptr);
+  const auto perm =
+      xfft::dif_output_permutation(xfft::choose_radices(n, 8), n);
+  std::vector<Cf> out(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = x[perm[k]];
+  scale_inverse(out, dir);
+  return out;
+}
+
+/// Three fused passes; each rotates the axes (x, y, z) -> (y, z, x), so the
+/// data is back in natural layout after the third. A unit axis has no
+/// stages, and rotating it past the others leaves the layout unchanged.
+std::vector<Cf> reference_fftnd(std::vector<Cf> x, Dims3 dims, Direction dir) {
+  std::vector<Cf> rotated(x.size());
+  for (const std::size_t len : {dims.nx, dims.ny, dims.nz}) {
+    if (len == 1) continue;
+    dif_rows(x, len, dir, rotated.data());
+    std::swap(x, rotated);
+  }
+  scale_inverse(x, dir);
+  return x;
+}
+
+class XmtcFft1D : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(XmtcFft1D, MatchesPlanLibraryExactly) {
+  const std::size_t n = GetParam();
+  const auto input = random_signal(n, n + 77);
+  for (const Direction dir : kDirs) {
+    const auto want = reference_fft1d(input, dir);
+    auto got = input;
+    xfft::Plan1D<float> plan(n, dir);
+    plan.execute(std::span<Cf>(got));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], want[i]) << "i=" << i << " inverse="
+                                 << (dir == Direction::kInverse);
+    }
+  }
+}
+
+TEST_P(XmtcFft1D, InverseRoundTrips) {
+  const std::size_t n = GetParam();
+  const auto input = random_signal(n, n + 78);
+  const auto x = reference_fft1d(reference_fft1d(input, Direction::kForward),
+                                 Direction::kInverse);
+  EXPECT_LT((relative_max_error<Cf, Cf>(x, input)), tol_f(n));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, XmtcFft1D,
+                         ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60));
+
+TEST(XmtcFftND, MatchesPlanNDOn3D) {
+  const Dims3 dims{16, 8, 4};
+  const auto input = random_signal(dims.total(), 5);
+  for (const Direction dir : kDirs) {
+    const auto want = reference_fftnd(input, dims, dir);
+    auto got = input;
+    xfft::PlanND<float> plan(dims, dir);
+    plan.execute(std::span<Cf>(got));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "i=" << i << " inverse="
+                                 << (dir == Direction::kInverse);
+    }
+  }
+}
+
+TEST(XmtcFftND, RoundTrip3D) {
+  const Dims3 dims{8, 8, 8};
+  const auto input = random_signal(dims.total(), 6);
+  const auto x = reference_fftnd(
+      reference_fftnd(input, dims, Direction::kForward), dims,
+      Direction::kInverse);
+  EXPECT_LT((relative_max_error<Cf, Cf>(x, input)), tol_f(dims.total()));
+}
+
+TEST(XmtcFftND, Rank2AgreesWithOracle) {
+  const Dims3 dims{32, 16, 1};
+  const auto input = random_signal(dims.total(), 9);
+  auto want = input;
+  xfft::PlanND<float> plan(dims, Direction::kForward);
+  plan.execute(std::span<Cf>(want));
+  const auto x = reference_fftnd(input, dims, Direction::kForward);
+  EXPECT_LT((relative_max_error<Cf, Cf>(x, want)), tol_f(dims.total()));
+}
+
+}  // namespace

@@ -1,13 +1,15 @@
 // xpar backbone tests: Chase–Lev deque invariants, exact parallel_for
 // coverage, the chunk-boundary determinism contract, nesting, reductions,
-// and exception propagation. This file carries the `par` ctest label and is
-// expected to run clean under -DXMTFFT_SANITIZE=thread.
+// and exception propagation (including the simulator's typed watchdog
+// error). This file carries the `par` ctest label and is expected to run
+// clean under -DXMTFFT_SANITIZE=thread.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,8 @@
 
 #include "xpar/deque.hpp"
 #include "xpar/pool.hpp"
+#include "xsim/fft_traffic.hpp"
+#include "xsim/machine.hpp"
 
 namespace {
 
@@ -195,6 +199,42 @@ TEST(ThreadPool, BodyExceptionIsRethrownAfterJoin) {
                           }),
         std::runtime_error);
     EXPECT_GT(ran.load(), 0);
+  }
+}
+
+TEST(ParallelRuntime, WatchdogDeadlockErrorPropagatesThroughParallelSpawn) {
+  // A DeadlockError thrown inside a pool-dispatched body is rethrown from
+  // parallel_for with its type and diagnostics intact, not sliced to a base
+  // class or swallowed by a worker thread.
+  xsim::MachineConfig cfg;
+  cfg.name = "par-watchdog";
+  cfg.clusters = 8;
+  cfg.tcus = 8 * 32;
+  cfg.memory_modules = 8;
+  cfg.mot_levels = 4;
+  cfg.butterfly_levels = 2;
+  cfg.mms_per_dram_ctrl = 2;
+  cfg.fpus_per_cluster = 1;
+  cfg.cache_bytes_per_mm = 8 * 1024;
+  cfg.validate();
+  auto mopt = xsim::MachineOptions{};
+  mopt.cycle_limit = 100;
+  mopt.throw_on_cycle_limit = true;
+
+  xpar::ThreadPool pool(4);
+  try {
+    pool.parallel_for(0, 8, 1, [&](std::int64_t lo, std::int64_t) {
+      if (lo != 0) return;  // one body drives the machine to the limit
+      xsim::Machine m(cfg, mopt);
+      (void)m.run_parallel_section(
+          4096, xsim::make_uniform_generator(64, 64, 1 << 20, 17));
+    });
+    FAIL() << "expected DeadlockError through the pool join";
+  } catch (const xsim::DeadlockError& e) {
+    EXPECT_EQ(e.cycle_limit, 100u);
+    EXPECT_EQ(e.threads_total, 4096u);
+    EXPECT_LT(e.threads_completed, e.threads_total);
+    EXPECT_NE(std::string(e.what()).find("cycle limit"), std::string::npos);
   }
 }
 

@@ -3,6 +3,8 @@
 // area model to the paper's published numbers.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "xnoc/topology.hpp"
 #include "xphys/area.hpp"
 #include "xphys/cooling.hpp"
@@ -125,8 +127,16 @@ xphys::ChipSpec spec_for(const xsim::MachineConfig& c) {
   return s;
 }
 
-class AreaVsTable3
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+struct AreaCase {
+  const char* name;
+  double paper_mm2;
+};
+
+// Test names embed the parameter; the default printer would show the name
+// pointer, which changes from run to run.
+void PrintTo(const AreaCase& c, std::ostream* os) { *os << c.name; }
+
+class AreaVsTable3 : public ::testing::TestWithParam<AreaCase> {};
 
 TEST_P(AreaVsTable3, TotalAreaWithinTenPercentOfPaper) {
   const auto [name, paper_mm2] = GetParam();
@@ -141,11 +151,9 @@ TEST_P(AreaVsTable3, TotalAreaWithinTenPercentOfPaper) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table3, AreaVsTable3,
-    ::testing::Values(std::pair<const char*, double>{"4k", 227.0},
-                      std::pair<const char*, double>{"8k", 551.0},
-                      std::pair<const char*, double>{"64k", 3046.0},
-                      std::pair<const char*, double>{"128k x2", 3284.0},
-                      std::pair<const char*, double>{"128k x4", 3540.0}));
+    ::testing::Values(AreaCase{"4k", 227.0}, AreaCase{"8k", 551.0},
+                      AreaCase{"64k", 3046.0}, AreaCase{"128k x2", 3284.0},
+                      AreaCase{"128k x4", 3540.0}));
 
 TEST(AreaModel, LayerCountsMatchTableIII) {
   const int expected_layers[] = {1, 2, 8, 9, 9};

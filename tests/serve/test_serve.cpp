@@ -3,9 +3,12 @@
 // permanent faults fail fast, the degradation ladder is exercised end to
 // end, and ServerStats reconciles exactly with per-request outcomes.
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +267,93 @@ TEST(FftServer, InvalidRequestsAreRejectedAtAdmission) {
   EXPECT_EQ(s.rejected_invalid, 3u);
   EXPECT_EQ(s.accepted, 0u);
   EXPECT_THROW((void)server.wait(a.id), xutil::Error);
+}
+
+TEST(FftServer, HostileInputsGetTypedOutcomes) {
+  // Every hostile request gets a typed verdict, no kOk answer carries a
+  // non-finite spectrum, and the counters still reconcile. A NaN used to
+  // come back kOk with a NaN spectrum — or, under soft flips, to burn the
+  // whole retry budget failing its checksum.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+  const auto poke = [](xfft::Dims3 dims, std::size_t at, xfft::Cf v,
+                       const char* faults = "") {
+    auto req = request(dims);
+    req.data[at] = v;
+    req.faults = faults;
+    return req;
+  };
+  const auto fill = [](xfft::Dims3 dims, xfft::Cf v) {
+    auto req = request(dims);
+    req.data.assign(dims.total(), v);
+    return req;
+  };
+  struct Case {
+    const char* name;
+    JobRequest req;
+    ServeStatus want;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"nan", poke({256, 1, 1}, 17, {kNan, 0.0F}),
+                   ServeStatus::kInvalid});
+  cases.push_back({"nan+soft-flips",
+                   poke({256, 1, 1}, 17, {0.0F, kNan}, "soft:flip:1e-4"),
+                   ServeStatus::kInvalid});
+  cases.push_back({"+inf", poke({256, 1, 1}, 0, {kInf, 0.0F}),
+                   ServeStatus::kInvalid});
+  cases.push_back({"-inf 3-D", poke({8, 8, 8}, 511, {0.0F, -kInf}),
+                   ServeStatus::kInvalid});
+  cases.push_back({"denormals", fill({256, 1, 1}, {3 * kTiny, -kTiny}),
+                   ServeStatus::kOk});
+  cases.push_back({"near-FLT_MAX everywhere",
+                   fill({64, 1, 1}, {0.9F * kMax, -0.9F * kMax}),
+                   ServeStatus::kInvalid});
+  cases.push_back({"near-FLT_MAX impulse",
+                   poke({64, 1, 1}, 0, {0.0F, 0.4F * kMax}),
+                   ServeStatus::kInvalid});
+  // The admission cap is FLT_MAX / (4 * length); every component at the cap
+  // is the worst case it admits, and its spectrum must stay finite.
+  const float cap = kMax / (4.0F * 64.0F);
+  cases.push_back({"every component at the cap",
+                   fill({64, 1, 1}, {cap, cap}), ServeStatus::kOk});
+  // 142 = 2 * 71 and 71 exceeds the largest supported radix.
+  cases.push_back({"prime factor 71", request({142, 1, 1}),
+                   ServeStatus::kInvalid});
+  cases.push_back({"prime factor 67 on y", request({8, 67, 1}),
+                   ServeStatus::kInvalid});
+
+  FftServer server(fast_options());
+  std::vector<std::pair<const Case*, std::uint64_t>> accepted;
+  for (auto& c : cases) {
+    const auto adm = server.submit(std::move(c.req));
+    if (c.want == ServeStatus::kInvalid) {
+      EXPECT_EQ(adm.status, ServeStatus::kInvalid) << c.name;
+      EXPECT_FALSE(adm.error.empty()) << c.name;
+    } else {
+      ASSERT_TRUE(adm.accepted()) << c.name << ": " << adm.error;
+      accepted.emplace_back(&c, adm.id);
+    }
+  }
+  for (const auto& [c, id] : accepted) {
+    const auto out = server.wait(id);
+    EXPECT_EQ(out.status, c->want) << c->name << ": " << out.error;
+    if (out.status != ServeStatus::kOk) continue;
+    for (const xfft::Cf& v : out.data) {
+      ASSERT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()))
+          << c->name << " returned kOk with a non-finite spectrum";
+    }
+  }
+  const auto s = server.stats();
+  EXPECT_EQ(s.submitted, cases.size());
+  EXPECT_EQ(s.submitted,
+            s.accepted + s.rejected_overload + s.rejected_invalid);
+  EXPECT_EQ(s.accepted, accepted.size());
+  EXPECT_EQ(s.accepted, s.completed());
+  EXPECT_EQ(s.ok, s.per_rung[0] + s.per_rung[1] + s.per_rung[2] +
+                      s.per_rung[3]);
+  EXPECT_EQ(s.retries, 0u);
 }
 
 TEST(FftServer, LadderShedsByQueueFillAndStatsMatchOutcomesExactly) {

@@ -3,6 +3,8 @@
 // the Fig. 3 qualitative observations (a)-(c).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "xfft/xmt_kernel.hpp"
 #include "xref/xeon.hpp"
 #include "xsim/perf_model.hpp"
@@ -24,6 +26,10 @@ struct Table4Case {
   const char* name;
   double paper_gflops;
 };
+
+// Test names embed the parameter; the default printer would show the name
+// pointer's bytes, which change from build to build.
+void PrintTo(const Table4Case& c, std::ostream* os) { *os << c.name; }
 
 class Table4 : public ::testing::TestWithParam<Table4Case> {};
 
