@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "xfft/butterflies.hpp"
-#include "xfft/convolution.hpp"
 #include "xfft/plan1d.hpp"
 #include "xutil/check.hpp"
 
@@ -20,6 +19,32 @@ Cd chirp(std::uint64_t m, std::uint64_t n, double sign) {
   const double a = sign * std::numbers::pi * static_cast<double>(q) /
                    static_cast<double>(n);
   return {std::cos(a), std::sin(a)};
+}
+
+/// Smallest power of two >= n (the zero-padded convolution length).
+std::size_t next_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+/// Circular convolution of equal-length complex vectors via the FFT:
+/// out[k] = sum_j a[j] * b[(k - j) mod n]. Length must be a smooth size.
+std::vector<Cf> circular_convolve(std::span<const Cf> a,
+                                  std::span<const Cf> b) {
+  XU_CHECK_MSG(a.size() == b.size(), "operands must have equal length");
+  const std::size_t n = a.size();
+  std::vector<Cf> fa(a.begin(), a.end());
+  std::vector<Cf> fb(b.begin(), b.end());
+  Plan1D<float> fwd(n, Direction::kForward,
+                    PlanOptions{.scaling = Scaling::kNone});
+  fwd.execute(std::span<Cf>(fa));
+  fwd.execute(std::span<Cf>(fb));
+  for (std::size_t k = 0; k < n; ++k) fa[k] *= fb[k];
+  Plan1D<float> inv(n, Direction::kInverse,
+                    PlanOptions{.scaling = Scaling::kUnitary1OverN});
+  inv.execute(std::span<Cf>(fa));
+  return fa;
 }
 
 }  // namespace

@@ -141,27 +141,6 @@ void Plan1D<T>::execute(std::span<std::complex<T>> data,
 }
 
 template <typename T>
-void Plan1D<T>::execute_digit_reversed(std::span<std::complex<T>> data) const {
-  run_stages(data);
-  apply_scaling(data);
-}
-
-template <typename T>
-void Plan1D<T>::execute_scatter(std::span<std::complex<T>> row,
-                                std::span<std::complex<T>> out,
-                                std::span<const std::uint32_t> positions) const {
-  XU_CHECK(positions.size() == n_);
-  run_stages(row);
-  const bool scale =
-      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
-  const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::complex<T> x = row[perm_[k]];
-    out[positions[k]] = scale ? x * s : x;
-  }
-}
-
-template <typename T>
 void Plan1D<T>::execute_scatter_affine(std::span<std::complex<T>> row,
                                        std::span<std::complex<T>> out,
                                        std::size_t offset,

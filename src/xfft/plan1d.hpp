@@ -59,22 +59,11 @@ class Plan1D {
                std::span<std::complex<T>> scratch,
                const xutil::CancelToken* cancel = nullptr) const;
 
-  /// Runs only the butterfly stages; output left in digit-reversed order.
-  /// Callers composing their own reorder (e.g. the fused-rotation 3-D path)
-  /// use output_perm() to locate frequency k at position output_perm()[k].
-  void execute_digit_reversed(std::span<std::complex<T>> data) const;
-
-  /// Butterfly stages plus a gather into `out` through a caller-provided
-  /// position map: out[positions[k]] = X[k]. Implements the paper's fusion
-  /// of the axis rotation with the last iteration (one memory pass instead
-  /// of reorder-then-rotate). positions must be a permutation of [0, n).
-  void execute_scatter(std::span<std::complex<T>> row,
-                       std::span<std::complex<T>> out,
-                       std::span<const std::uint32_t> positions) const;
-
-  /// Affine special case of execute_scatter: out[offset + k*stride] = X[k].
-  /// This is the access pattern of the fused axis rotation, where a row's
-  /// spectrum scatters into a column of the rotated array.
+  /// Butterfly stages plus a scatter of the spectrum into a column of
+  /// `out`: out[offset + k*stride] = X[k]. Implements the paper's fusion of
+  /// the axis rotation with the last iteration (one memory pass instead of
+  /// reorder-then-rotate): a row's spectrum lands in a column of the
+  /// rotated array.
   void execute_scatter_affine(std::span<std::complex<T>> row,
                               std::span<std::complex<T>> out,
                               std::size_t offset, std::size_t stride) const;
@@ -83,10 +72,6 @@ class Plan1D {
   [[nodiscard]] Direction direction() const { return dir_; }
   [[nodiscard]] const std::vector<unsigned>& radices() const {
     return radices_;
-  }
-  /// perm[k] = position of frequency k in the digit-reversed stage output.
-  [[nodiscard]] const std::vector<std::uint32_t>& output_perm() const {
-    return perm_;
   }
   /// Actual real floating-point operations per execution (adds + multiplies,
   /// counting all twiddle multiplies); used for host GFLOPS reporting.
@@ -102,6 +87,7 @@ class Plan1D {
   PlanOptions opt_;
   std::vector<unsigned> radices_;
   TwiddleTable<T> tw_;
+  // perm_[k] = position of frequency k in the digit-reversed stage output.
   std::vector<std::uint32_t> perm_;
   std::uint64_t flops_ = 0;
   // Cache-line aligned so the batched butterfly loops see aligned rows;

@@ -23,6 +23,14 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMaxLatencySamples = std::size_t{1} << 20;
 
+/// Execution attempts for a request that does not set its own budget.
+constexpr unsigned kDefaultMaxAttempts = 3;
+/// Row-level recovery attempts inside one execution of the soft-error
+/// harness: 1 detects only, surfacing every transient failure to the
+/// service-level retry/backoff policy.
+constexpr unsigned kRowRecoveryAttempts = 1;
+constexpr std::chrono::nanoseconds kBackoffCap{8'000'000};  // 8 ms
+
 bool is_pow2(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 /// The Q15 rung serves exactly what the fixed-point kernel can: 1-D
@@ -112,11 +120,6 @@ const char* rung_name(Rung r) {
 FftServer::FftServer(ServerOptions opt)
     : opt_(std::move(opt)), backoff_rng_(opt_.seed, 0x5e7e) {
   XU_CHECK_MSG(opt_.queue_capacity >= 1, "xserve: queue capacity must be >= 1");
-  XU_CHECK_MSG(opt_.default_max_attempts >= 1,
-               "xserve: default_max_attempts must be >= 1");
-  if (opt_.estimate_config.name.empty()) {
-    opt_.estimate_config = xsim::preset_64k();
-  }
   dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
 
@@ -353,7 +356,7 @@ JobOutcome FftServer::run_job(Job& job, Rung rung) {
 
   const unsigned max_attempts = job.req.max_attempts > 0
                                     ? job.req.max_attempts
-                                    : opt_.default_max_attempts;
+                                    : kDefaultMaxAttempts;
   // Transient-fault retries restart from the original input.
   std::vector<xfft::Cf> pristine;
   if (job.fault_class == xfault::FaultClass::kTransient &&
@@ -378,7 +381,7 @@ JobOutcome FftServer::run_job(Job& job, Rung rung) {
     }
     if (!pristine.empty()) job.req.data = pristine;
     backoff = next_decorrelated_backoff(backoff, opt_.backoff_base,
-                                        opt_.backoff_cap, backoff_rng_);
+                                        kBackoffCap, backoff_rng_);
     std::chrono::nanoseconds sleep = backoff;
     if (job.token->has_deadline()) {
       sleep = clip_backoff_to_deadline(
@@ -409,9 +412,9 @@ JobOutcome FftServer::execute_once(Job& job, Rung rung, unsigned attempt) {
   switch (rung) {
     case Rung::kEstimate: {
       // Heaviest shedding: answer with the analytic model's prediction of
-      // the healthy runtime instead of computing anything.
+      // the healthy runtime on the 64k preset instead of computing anything.
       try {
-        const xsim::FftPerfModel model(opt_.estimate_config);
+        const xsim::FftPerfModel model(xsim::preset_64k());
         out.estimate_seconds = model.analyze_fft(dims).total_seconds;
       } catch (const xutil::Error&) {
         // Shapes the phase builder cannot decompose get a nominal-rate
@@ -441,7 +444,7 @@ JobOutcome FftServer::execute_once(Job& job, Rung rung, unsigned attempt) {
         // Fresh upset conditions per service-level attempt: remix the seed
         // so a retry does not replay the exact flips that defeated it.
         ropt.seed = job.req.seed + 0x9e3779b97f4a7c15ULL * attempt;
-        ropt.max_attempts_per_row = opt_.row_recovery_attempts;
+        ropt.max_attempts_per_row = kRowRecoveryAttempts;
         const auto rep = xfault::resilient_fft(data, dims, job.req.dir, ropt);
         if (!rep.ok()) {
           out.status = ServeStatus::kFaultExhausted;

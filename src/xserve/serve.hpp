@@ -54,7 +54,6 @@
 
 #include "xfault/fault_plan.hpp"
 #include "xfft/types.hpp"
-#include "xsim/config.hpp"
 #include "xutil/cancel.hpp"
 #include "xutil/rng.hpp"
 
@@ -95,8 +94,7 @@ struct JobRequest {
   /// xfault::FaultPlan spec the job (notionally) runs under; "" = healthy.
   std::string faults;
   std::uint64_t seed = 1;  ///< seeds fault injection per attempt
-  /// Total execution attempts allowed (first try + retries); 0 uses the
-  /// server default.
+  /// Total execution attempts allowed (first try + retries); 0 means 3.
   unsigned max_attempts = 0;
 };
 
@@ -153,18 +151,10 @@ struct ServerOptions {
   double shed_fixed_point_at = 0.75;
   double shed_estimate_at = 0.90;
   /// Decorrelated-jitter backoff between transient-failure retries:
-  /// sleep = min(cap, uniform(base, 3 * previous_sleep)). Base zero
+  /// sleep = min(8 ms, uniform(base, 3 * previous_sleep)). Base zero
   /// disables sleeping (tests).
   std::chrono::nanoseconds backoff_base{250'000};      // 0.25 ms
-  std::chrono::nanoseconds backoff_cap{8'000'000};     // 8 ms
   std::uint64_t seed = 1;        ///< seeds the backoff jitter stream
-  unsigned default_max_attempts = 3;
-  /// Row-level recovery attempts inside one execution of the soft-error
-  /// harness (1 = detect only, surfacing every transient failure to the
-  /// service-level retry/backoff policy).
-  unsigned row_recovery_attempts = 1;
-  /// Machine the kEstimate rung models; empty name selects the 64k preset.
-  xsim::MachineConfig estimate_config{};
 };
 
 class FftServer {

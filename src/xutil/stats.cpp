@@ -59,15 +59,4 @@ double percentile(std::span<const double> samples, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-double rms_error(std::span<const double> a, std::span<const double> b) {
-  XU_CHECK_MSG(a.size() == b.size(), "rms_error requires equal-length spans");
-  if (a.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
 }  // namespace xutil

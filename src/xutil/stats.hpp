@@ -38,9 +38,4 @@ class RunningStats {
 /// Linear-interpolation percentile of an unsorted sample (p in [0,100]).
 [[nodiscard]] double percentile(std::span<const double> samples, double p);
 
-/// Root-mean-square of pairwise differences; the FFT tests use this as the
-/// error metric between a transform under test and the oracle DFT.
-[[nodiscard]] double rms_error(std::span<const double> a,
-                               std::span<const double> b);
-
 }  // namespace xutil

@@ -264,24 +264,6 @@ TEST(Plan1D, DoublePrecisionIsMoreAccurate) {
   EXPECT_LT((relative_max_error<xfft::Cd, xfft::Cd>(xd, want)), 1e-12);
 }
 
-TEST(Plan1D, ExecuteDigitReversedPlusPermMatchesExecute) {
-  const std::size_t n = 512;
-  const auto input = random_signal(n, 8);
-  Plan1D<float> plan(n, Direction::kForward);
-
-  auto a = input;
-  plan.execute(std::span<Cf>(a));
-
-  auto b = input;
-  plan.execute_digit_reversed(std::span<Cf>(b));
-  std::vector<Cf> reordered(n);
-  for (std::size_t k = 0; k < n; ++k) reordered[k] = b[plan.output_perm()[k]];
-
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_EQ(a[k], reordered[k]) << "k=" << k;
-  }
-}
-
 TEST(Plan1D, ScatterAffineMatchesExecute) {
   const std::size_t n = 256;
   const auto input = random_signal(n, 9);

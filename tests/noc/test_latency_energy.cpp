@@ -1,76 +1,10 @@
-// Tests for the NoC latency model (vs queue simulation) and the energy
-// accounting helpers.
+// Tests for the energy accounting helpers.
 #include <gtest/gtest.h>
 
-#include "xnoc/latency.hpp"
-#include "xnoc/queue_sim.hpp"
 #include "xphys/energy.hpp"
 #include "xsim/perf_model.hpp"
-#include "xutil/check.hpp"
 
 namespace {
-
-using xnoc::hybrid;
-using xnoc::pure_mot;
-using xnoc::TrafficPattern;
-
-TEST(Latency, BaseLatencyIsPipelineDepth) {
-  // At negligible load the latency is levels + 1 (module service).
-  const auto t = hybrid(32, 32, 6, 4);
-  EXPECT_NEAR(xnoc::expected_latency_cycles(t, TrafficPattern::kUniform,
-                                            0.01),
-              11.0, 0.5);
-}
-
-TEST(Latency, GrowsWithLoadAndPattern) {
-  const auto t = hybrid(32, 32, 6, 4);
-  const double l_low =
-      xnoc::expected_latency_cycles(t, TrafficPattern::kUniform, 0.2);
-  const double l_high =
-      xnoc::expected_latency_cycles(t, TrafficPattern::kUniform, 0.9);
-  EXPECT_GT(l_high, l_low);
-  const double l_rot =
-      xnoc::expected_latency_cycles(t, TrafficPattern::kTranspose, 0.2);
-  EXPECT_GT(l_rot, l_low);  // transpose contends harder at equal load
-}
-
-TEST(Latency, PureMotHasNoButterflyQueueing) {
-  const auto mot = pure_mot(32, 32);
-  const auto hyb = hybrid(32, 32, 6, 4);
-  // Same pipeline depth difference aside, the hybrid pays queueing in its
-  // shared stages at high load.
-  const double l_mot =
-      xnoc::expected_latency_cycles(mot, TrafficPattern::kUniform, 0.9) -
-      (mot.total_levels() + 1);
-  const double l_hyb =
-      xnoc::expected_latency_cycles(hyb, TrafficPattern::kUniform, 0.9) -
-      (hyb.total_levels() + 1);
-  EXPECT_GT(l_hyb, l_mot);
-}
-
-TEST(Latency, OrderingMatchesQueueSimulation) {
-  // The queue simulation's measured latencies must order the same way the
-  // analytic model predicts (uniform < transpose on a hybrid).
-  const auto t = hybrid(32, 32, 4, 5);
-  const auto uni = xnoc::simulate_noc(t, TrafficPattern::kUniform, 300);
-  const auto rot = xnoc::simulate_noc(t, TrafficPattern::kTranspose, 300);
-  EXPECT_LT(uni.avg_latency_cycles, rot.avg_latency_cycles);
-  const double m_uni =
-      xnoc::expected_latency_cycles(t, TrafficPattern::kUniform, 0.8);
-  const double m_rot =
-      xnoc::expected_latency_cycles(t, TrafficPattern::kTranspose, 0.8);
-  EXPECT_LT(m_uni, m_rot);
-}
-
-TEST(Latency, RejectsBadLoad) {
-  const auto t = pure_mot(8, 8);
-  EXPECT_THROW((void)xnoc::expected_latency_cycles(
-                   t, TrafficPattern::kUniform, 0.0),
-               xutil::Error);
-  EXPECT_THROW((void)xnoc::expected_latency_cycles(
-                   t, TrafficPattern::kUniform, 1.5),
-               xutil::Error);
-}
 
 TEST(Energy, XmtVsEdisonPerTransform) {
   // The paper's power story in joules: XMT 128k x4 does a 512^3 FFT in

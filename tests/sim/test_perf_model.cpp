@@ -120,7 +120,9 @@ TEST(Fig3ObservationC, X4GainOverX2IsAboutFiftyPercent) {
   EXPECT_NEAR(gain, 0.51, 0.10);
   // And the binding resource for x4 rotation phases is the NoC, not DRAM.
   for (const auto& ph : x4.phases) {
-    if (ph.rotation) EXPECT_EQ(ph.bound, Bound::kNoc) << ph.name;
+    if (ph.rotation) {
+      EXPECT_EQ(ph.bound, Bound::kNoc) << ph.name;
+    }
   }
 }
 
