@@ -1,7 +1,8 @@
 // Quickstart: the 60-second tour of the library's public API.
 //
 //   1. 1-D complex FFT with a reusable plan (natural order in and out).
-//   2. 3-D FFT with the paper's fused axis rotation.
+//   2. 3-D FFT: in place, bit-identical to the paper's fused-rotation
+//      schedule.
 //   3. Timing an FFT on a simulated XMT configuration.
 //
 // Build & run:  ./build/examples/quickstart
@@ -36,7 +37,7 @@ int main() {
   std::printf("1-D FFT of 1024 samples: strongest bin = %zu (expected 50)\n",
               peak);
 
-  // --- 2. 3-D transform with fused rotation -----------------------------
+  // --- 2. 3-D transform ------------------------------------------------
   const xfft::Dims3 dims{32, 32, 32};
   std::vector<xfft::Cf> volume(dims.total(), xfft::Cf{1.0F, 0.0F});
   xfft::PlanND<float> plan3d(dims, xfft::Direction::kForward);

@@ -65,20 +65,6 @@ Engine make_plan1d(unsigned max_radix) {
   return e;
 }
 
-Engine make_plannd(xfft::RotationMode mode, const char* name) {
-  Engine e;
-  e.name = name;
-  e.max_rank = 3;
-  e.transform = [mode](std::span<Cf> data, Dims3 dims, Direction dir) {
-    xfft::PlanND<float>::Options opt;
-    opt.scaling = xfft::Scaling::kNone;
-    opt.rotation = mode;
-    const xfft::PlanND<float> plan(dims, dir, opt);
-    plan.execute(data);
-  };
-  return e;
-}
-
 }  // namespace
 
 bool Engine::supports(Dims3 dims) const {
@@ -130,10 +116,16 @@ std::vector<Engine> all_engines() {
   };
   engines.push_back(std::move(bluestein));
 
-  engines.push_back(
-      make_plannd(xfft::RotationMode::kFusedRotation, "plannd-fused"));
-  engines.push_back(
-      make_plannd(xfft::RotationMode::kSeparate, "plannd-separate"));
+  Engine plannd;
+  plannd.name = "plannd";
+  plannd.max_rank = 3;
+  plannd.transform = [](std::span<Cf> data, Dims3 dims, Direction dir) {
+    xfft::PlanND<float>::Options opt;
+    opt.scaling = xfft::Scaling::kNone;
+    const xfft::PlanND<float> plan(dims, dir, opt);
+    plan.execute(data);
+  };
+  engines.push_back(std::move(plannd));
 
   Engine q15;
   q15.name = "q15";

@@ -48,9 +48,9 @@ struct Engine {
 };
 
 /// Every engine in the repository: Plan1D at max radix 8/4/2, the Stockham,
-/// recursive-DIT and four-step baselines, Bluestein/fft_any, PlanND with
-/// fused and separate rotation (the XMT kernel's host twin), the Q15
-/// fixed-point path, and the xfault resilience harness at flip rate 0.
+/// recursive-DIT and four-step baselines, Bluestein/fft_any, PlanND (the
+/// XMT kernel's host twin), the Q15 fixed-point path, and the xfault
+/// resilience harness at flip rate 0.
 [[nodiscard]] std::vector<Engine> all_engines();
 
 struct PropertyResult {

@@ -49,8 +49,9 @@ struct ResilienceReport {
 
 /// In-place N-dimensional FFT over `dims` with per-row checksum verification
 /// and bounded recomputation. With soft_flip_rate == 0 the output is
-/// identical to xfft::PlanND's separate-rotation path (same row plans, same
-/// rotation passes). Inverse transforms apply the unitary 1/N scaling.
+/// identical to xfft::PlanND's (the same row plans on the same values; here
+/// each row pass is followed by a rotation). Inverse transforms apply the
+/// unitary 1/N scaling.
 ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
                                xfft::Direction dir,
                                const ResilienceOptions& opt = {});

@@ -34,12 +34,15 @@ bool exec_expired(const ExecOptions& exec) {
   return exec.cancel != nullptr && exec.cancel->expired();
 }
 
+/// Pencils gathered per block of the y and z passes: 16 adjacent x
+/// positions, 128 B per step along the axis in single precision.
+constexpr std::size_t kBlockCols = 16;
+
 }  // namespace
 
 template <typename T>
 void rotate_axes(std::span<const std::complex<T>> src,
-                 std::span<std::complex<T>> dst, Dims3 dims,
-                 const ExecOptions& exec) {
+                 std::span<std::complex<T>> dst, Dims3 dims) {
   XU_CHECK(src.size() == dims.total() && dst.size() == dims.total());
   XU_CHECK_MSG(src.data() != dst.data(), "rotate_axes must not alias");
   const std::size_t d0 = dims.nx;
@@ -49,8 +52,8 @@ void rotate_axes(std::span<const std::complex<T>> src,
   // pool over the (i2, i1) plane: each tile of source rows writes a
   // disjoint comb of dst, so the parallel rotation is byte-identical to
   // the serial one at any thread count.
-  for_chunks(
-      exec, 0, static_cast<std::int64_t>(d2 * d1), 0,
+  xpar::ThreadPool::global().parallel_for(
+      0, static_cast<std::int64_t>(d2 * d1), 0,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t idx = lo; idx < hi; ++idx) {
           const auto i2 = static_cast<std::size_t>(idx) / d1;
@@ -62,12 +65,6 @@ void rotate_axes(std::span<const std::complex<T>> src,
           }
         }
       });
-}
-
-template <typename T>
-void rotate_axes(std::span<const std::complex<T>> src,
-                 std::span<std::complex<T>> dst, Dims3 dims) {
-  rotate_axes(src, dst, dims, ExecOptions{});
 }
 
 template <typename T>
@@ -92,7 +89,6 @@ PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt)
     }
     plan_of_axis_[static_cast<std::size_t>(axis)] = found;
   }
-  scratch_.resize(dims.total());
 }
 
 template <typename T>
@@ -138,119 +134,90 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
                         const ExecOptions& exec) const {
   XU_CHECK_MSG(data.size() == dims_.total(),
                "buffer length " << data.size() << " != " << dims_.total());
-  if (dims_.rank() == 1) {
-    // No rotation needed for 1-D; run the row plan directly.
-    if (dims_.nx > 1) {
-      axis_plan(0).execute(
-          data, std::span<std::complex<T>>(scratch_.data(), scratch_.size()),
-          exec.cancel);
-    }
-    if (exec_expired(exec)) return;
-    apply_scaling(data, exec);
-    return;
+  const std::size_t nx = dims_.nx;
+  const std::size_t ny = dims_.ny;
+  if (nx > 1) transform_rows(data, exec);
+  // y pencils run at stride nx inside each of the nz planes; z pencils run
+  // at stride nx*ny from each of the ny rows of the first plane.
+  if (ny > 1 && !exec_expired(exec)) {
+    transform_pencils(data, 1, nx, dims_.nz, nx * ny, exec);
   }
-  if (opt_.rotation == RotationMode::kFusedRotation) {
-    execute_fused(data, exec);
-  } else {
-    execute_separate(data, exec);
+  if (dims_.nz > 1 && !exec_expired(exec)) {
+    transform_pencils(data, 2, nx * ny, ny, nx, exec);
   }
   if (exec_expired(exec)) return;
   apply_scaling(data, exec);
 }
 
 template <typename T>
-void PlanND<T>::execute_separate(std::span<std::complex<T>> data,
-                                 const ExecOptions& exec) const {
-  Dims3 cur = dims_;
-  std::complex<T>* src = data.data();
-  std::complex<T>* dst = scratch_.data();
-  const std::size_t n = dims_.total();
-  const std::size_t axis_len[3] = {dims_.nx, dims_.ny, dims_.nz};
-  for (int pass = 0; pass < 3; ++pass) {
-    if (axis_len[pass] > 1) {
-      const Plan1D<T>& plan = axis_plan(pass);
-      const std::size_t rows = n / cur.nx;
-      const std::size_t len = cur.nx;
-      // Pencil parallelism: each chunk of rows runs on one lane with its
-      // own reorder scratch, reused across every row of the chunk (the
-      // shared plan is read-only in execution).
-      for_chunks(
-          exec, 0, static_cast<std::int64_t>(rows), 0,
-          [&](std::int64_t lo, std::int64_t hi) {
-            xutil::AlignedVector<std::complex<T>> row_scratch(len);
-            const std::span<std::complex<T>> scratch_span(row_scratch.data(),
-                                                          len);
-            for (std::int64_t row = lo; row < hi; ++row) {
-              if (exec_expired(exec)) return;
-              plan.execute(std::span<std::complex<T>>(
-                               src + static_cast<std::size_t>(row) * len, len),
-                           scratch_span);
-            }
-          });
-    }
-    if (exec_expired(exec)) return;
-    rotate_axes(std::span<const std::complex<T>>(src, n),
-                std::span<std::complex<T>>(dst, n), cur, exec);
-    if (exec_expired(exec)) return;
-    std::swap(src, dst);
-    cur = Dims3{cur.ny, cur.nz, cur.nx};
-  }
-  // Three ping-pong swaps leave the result in the scratch buffer.
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
+void PlanND<T>::transform_rows(std::span<std::complex<T>> data,
+                               const ExecOptions& exec) const {
+  const Plan1D<T>& plan = axis_plan(0);
+  const std::size_t len = dims_.nx;
+  // Each chunk of rows runs on one lane with its own reorder scratch,
+  // reused across every row of the chunk (the plan is read-only here).
+  for_chunks(exec, 0, static_cast<std::int64_t>(data.size() / len), 0,
+             [&](std::int64_t lo, std::int64_t hi) {
+               xutil::AlignedVector<std::complex<T>> scratch(len);
+               for (std::int64_t row = lo; row < hi; ++row) {
+                 if (exec_expired(exec)) return;
+                 plan.execute(data.subspan(static_cast<std::size_t>(row) * len,
+                                           len),
+                              std::span<std::complex<T>>(scratch.data(), len),
+                              exec.cancel);
+               }
+             });
 }
 
 template <typename T>
-void PlanND<T>::execute_fused(std::span<std::complex<T>> data,
-                              const ExecOptions& exec) const {
-  Dims3 cur = dims_;
-  std::complex<T>* src = data.data();
-  std::complex<T>* dst = scratch_.data();
-  const std::size_t n = dims_.total();
-  const std::size_t axis_len[3] = {dims_.nx, dims_.ny, dims_.nz};
-  for (int pass = 0; pass < 3; ++pass) {
-    const std::size_t rows = n / cur.nx;
-    if (axis_len[pass] > 1) {
-      const Plan1D<T>& plan = axis_plan(pass);
-      // Each row's final iteration scatters straight into the rotated
-      // array: frequency k of row (i1, i2) lands at k*(d1*d2) + i2*d1 + i1.
-      // Rows are disjoint in src and scatter to disjoint combs of dst
-      // (offset = row), so the fused transpose tiles across lanes with no
-      // synchronization inside a pass.
-      const std::size_t stride = cur.ny * cur.nz;
-      const std::size_t len = cur.nx;
-      for_chunks(
-          exec, 0, static_cast<std::int64_t>(rows), 0,
-          [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t row = lo; row < hi; ++row) {
-              if (exec_expired(exec)) return;
-              plan.execute_scatter_affine(
-                  std::span<std::complex<T>>(
-                      src + static_cast<std::size_t>(row) * len, len),
-                  std::span<std::complex<T>>(dst, n),
-                  static_cast<std::size_t>(row), stride);
+void PlanND<T>::transform_pencils(std::span<std::complex<T>> data, int axis,
+                                  std::size_t stride, std::size_t groups,
+                                  std::size_t group_stride,
+                                  const ExecOptions& exec) const {
+  const Plan1D<T>& plan = axis_plan(axis);
+  const std::size_t len = plan.size();
+  const std::size_t nx = dims_.nx;
+  const std::size_t blocks = (nx + kBlockCols - 1) / kBlockCols;
+  // One work item is a block of up to kBlockCols pencils that start at
+  // adjacent x: gathering it reads whole cache lines per step along the
+  // axis, the pencils are transformed contiguously, and the block is
+  // written back where it came from. Blocks are disjoint, so the pass needs
+  // no synchronization and no second full-size array.
+  for_chunks(
+      exec, 0, static_cast<std::int64_t>(groups * blocks), 0,
+      [&](std::int64_t lo, std::int64_t hi) {
+        xutil::AlignedVector<std::complex<T>> work((kBlockCols + 1) * len);
+        std::complex<T>* block = work.data();
+        const std::span<std::complex<T>> scratch(work.data() + kBlockCols * len,
+                                                 len);
+        for (std::int64_t item = lo; item < hi; ++item) {
+          if (exec_expired(exec)) return;
+          const std::size_t x0 =
+              static_cast<std::size_t>(item) % blocks * kBlockCols;
+          const std::size_t width = std::min(kBlockCols, nx - x0);
+          std::complex<T>* base =
+              data.data() + static_cast<std::size_t>(item) / blocks *
+                                group_stride + x0;
+          for (std::size_t j = 0; j < len; ++j) {
+            for (std::size_t c = 0; c < width; ++c) {
+              block[c * len + j] = base[j * stride + c];
             }
-          });
-    } else {
-      rotate_axes(std::span<const std::complex<T>>(src, n),
-                  std::span<std::complex<T>>(dst, n), cur, exec);
-    }
-    if (exec_expired(exec)) return;
-    std::swap(src, dst);
-    cur = Dims3{cur.ny, cur.nz, cur.nx};
-  }
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
+          }
+          for (std::size_t c = 0; c < width; ++c) {
+            plan.execute(std::span<std::complex<T>>(block + c * len, len),
+                         scratch, exec.cancel);
+          }
+          for (std::size_t j = 0; j < len; ++j) {
+            for (std::size_t c = 0; c < width; ++c) {
+              base[j * stride + c] = block[c * len + j];
+            }
+          }
+        }
+      });
 }
 
 template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>, Dims3);
 template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>, Dims3);
-template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>, Dims3,
-                                 const ExecOptions&);
-template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>, Dims3,
-                                  const ExecOptions&);
 template class PlanND<float>;
 template class PlanND<double>;
 

@@ -9,9 +9,13 @@
 // computation to reduce the number of synchronization points and round
 // trips to memory."
 //
-// Both variants are provided: kSeparate performs an explicit rotation pass
-// after each dimension's row FFTs, kFusedRotation scatters the last
-// butterfly iteration's output directly into the rotated array.
+// The host plan does not rotate. It transforms every axis in place: the x
+// pass runs contiguous rows, and the y and z passes gather blocks of
+// adjacent strided pencils into a small per-chunk buffer, transform them
+// and write them back. Each pencil sees the same values and the same
+// arithmetic as a row of the rotated array, so the output is bit-identical
+// to the paper's fused schedule, which xsim, the performance model and the
+// exactness oracle in tests/fft/test_dif_oracle.cpp keep.
 #pragma once
 
 #include <array>
@@ -22,15 +26,8 @@
 
 #include "xfft/plan1d.hpp"
 #include "xfft/types.hpp"
-#include "xutil/aligned.hpp"
 
 namespace xfft {
-
-/// How the axis rotation (generalized transpose) is realized.
-enum class RotationMode {
-  kSeparate,       ///< row FFTs in place, then a dedicated rotation pass
-  kFusedRotation,  ///< last iteration scatters into the rotated array
-};
 
 /// Per-execution controls threaded through PlanND (and from there into the
 /// chunk loops and Plan1D stages). Distinct from the plan-time Options:
@@ -52,23 +49,19 @@ struct ExecOptions {
 /// previously second-fastest axis (d1) is fastest, so row FFTs on dst
 /// transform what were columns of src. For 2-D arrays (d2 == 1) this is a
 /// matrix transpose. Three successive rotations restore the original layout.
+/// PlanND does not rotate; xfault::resilient_fft's row-and-rotate loop does.
 template <typename T>
 void rotate_axes(std::span<const std::complex<T>> src,
                  std::span<std::complex<T>> dst, Dims3 dims);
 
-/// Cancellation/serial-aware variant; see ExecOptions.
-template <typename T>
-void rotate_axes(std::span<const std::complex<T>> src,
-                 std::span<std::complex<T>> dst, Dims3 dims,
-                 const ExecOptions& exec);
-
 /// In-place N-dimensional FFT plan (rank 1, 2 or 3), natural layout in and
-/// out (x fastest). Like Plan1D, a plan is reusable but not concurrently
-/// executable (shared scratch).
+/// out (x fastest). A plan is reusable and reentrant: execute() keeps its
+/// workspace per call, so any number of threads may run one plan (e.g. a
+/// PlanCache entry) at once, each on its own buffer.
 ///
-/// Execution is pencil-parallel on the xpar pool: row FFTs, the fused
-/// scatter, the rotation tiles and the scaling pass are all chunked with
-/// xpar::parallel_for. Every row/tile writes a disjoint region, so output
+/// Execution is pencil-parallel on the xpar pool: the row pass, the pencil
+/// blocks of the y and z passes and the scaling pass are all chunked with
+/// xpar::parallel_for. Every row/block writes a disjoint region, so output
 /// is byte-identical at any pool size (including 1); callers pick the
 /// concurrency through xpar::ThreadPool::set_global_threads / --threads /
 /// XMTFFT_THREADS.
@@ -78,7 +71,6 @@ class PlanND {
   struct Options {
     unsigned max_radix = 8;
     Scaling scaling = Scaling::kUnitary1OverN;
-    RotationMode rotation = RotationMode::kFusedRotation;
   };
 
   PlanND(Dims3 dims, Direction dir, Options opt = {});
@@ -94,17 +86,18 @@ class PlanND {
 
   [[nodiscard]] Dims3 dims() const { return dims_; }
   [[nodiscard]] Direction direction() const { return dir_; }
-  [[nodiscard]] RotationMode rotation_mode() const { return opt_.rotation; }
   /// Actual real FLOPs per execution across all dimensions' row FFTs.
   [[nodiscard]] std::uint64_t actual_flops() const;
   /// The 1-D plan used along axis `axis` (0 = x).
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
-  void execute_separate(std::span<std::complex<T>> data,
-                        const ExecOptions& exec) const;
-  void execute_fused(std::span<std::complex<T>> data,
-                     const ExecOptions& exec) const;
+  void transform_rows(std::span<std::complex<T>> data,
+                      const ExecOptions& exec) const;
+  void transform_pencils(std::span<std::complex<T>> data, int axis,
+                         std::size_t stride, std::size_t groups,
+                         std::size_t group_stride,
+                         const ExecOptions& exec) const;
   void apply_scaling(std::span<std::complex<T>> data,
                      const ExecOptions& exec) const;
 
@@ -114,7 +107,6 @@ class PlanND {
   // One plan per axis length (axes of equal length share a plan).
   std::vector<std::unique_ptr<Plan1D<T>>> plans_;
   std::array<int, 3> plan_of_axis_{};
-  mutable xutil::AlignedVector<std::complex<T>> scratch_;
 };
 
 /// Convenience aliases matching the paper's 2-D / 3-D usage.
@@ -127,10 +119,6 @@ extern template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>,
                                         Dims3);
 extern template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>,
                                          Dims3);
-extern template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>,
-                                        Dims3, const ExecOptions&);
-extern template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>,
-                                         Dims3, const ExecOptions&);
 extern template class PlanND<float>;
 extern template class PlanND<double>;
 

@@ -140,23 +140,6 @@ void Plan1D<T>::execute(std::span<std::complex<T>> data,
   apply_scaling(data);
 }
 
-template <typename T>
-void Plan1D<T>::execute_scatter_affine(std::span<std::complex<T>> row,
-                                       std::span<std::complex<T>> out,
-                                       std::size_t offset,
-                                       std::size_t stride) const {
-  XU_CHECK_MSG(n_ == 0 || offset + (n_ - 1) * stride < out.size(),
-               "scatter range exceeds destination buffer");
-  run_stages(row);
-  const bool scale =
-      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
-  const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::complex<T> x = row[perm_[k]];
-    out[offset + k * stride] = scale ? x * s : x;
-  }
-}
-
 template class Plan1D<float>;
 template class Plan1D<double>;
 

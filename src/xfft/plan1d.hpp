@@ -59,15 +59,6 @@ class Plan1D {
                std::span<std::complex<T>> scratch,
                const xutil::CancelToken* cancel = nullptr) const;
 
-  /// Butterfly stages plus a scatter of the spectrum into a column of
-  /// `out`: out[offset + k*stride] = X[k]. Implements the paper's fusion of
-  /// the axis rotation with the last iteration (one memory pass instead of
-  /// reorder-then-rotate): a row's spectrum lands in a column of the
-  /// rotated array.
-  void execute_scatter_affine(std::span<std::complex<T>> row,
-                              std::span<std::complex<T>> out,
-                              std::size_t offset, std::size_t stride) const;
-
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] Direction direction() const { return dir_; }
   [[nodiscard]] const std::vector<unsigned>& radices() const {
@@ -79,7 +70,7 @@ class Plan1D {
 
  private:
   void run_stages(std::span<std::complex<T>> data,
-                  const xutil::CancelToken* cancel = nullptr) const;
+                  const xutil::CancelToken* cancel) const;
   void apply_scaling(std::span<std::complex<T>> data) const;
 
   std::size_t n_;

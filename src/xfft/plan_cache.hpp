@@ -3,20 +3,20 @@
 // Twiddle tables and digit-reversal permutations dominate plan setup; a
 // cache keyed on (shape, direction, options) lets call sites that cannot
 // hold a plan (e.g. library internals, language bindings) still reuse
-// them. Plans are shared via shared_ptr.
+// them. Plans are shared via shared_ptr. 1-D transforms are PlanND plans
+// with dims {n, 1, 1}.
 //
-// The cache is bounded: at most `capacity` entries (1-D and N-D combined,
-// default kDefaultCapacity — generous for any realistic working set) are
-// retained, and inserting past the bound evicts the least-recently-used
-// entry. A long-running service (xserve) can therefore plan for arbitrary
-// request streams without unbounded memory growth; evicted plans stay
-// valid for whoever still holds their shared_ptr.
+// The cache is bounded: at most `capacity` entries (default
+// kDefaultCapacity — generous for any realistic working set) are retained,
+// and inserting past the bound evicts the least-recently-used entry. A
+// long-running service (xserve) can therefore plan for arbitrary request
+// streams without unbounded memory growth; evicted plans stay valid for
+// whoever still holds their shared_ptr.
 //
-// The cache itself is thread-safe (a mutex guards the maps and counters),
-// so planning may happen from pool workers. Note Plan1D/PlanND execution
-// is still not thread-safe on a single instance (shared scratch); the
-// cache hands out shared instances, so concurrent executors should each
-// use their own plan, the external-scratch Plan1D overload, or locking.
+// The cache is thread-safe (a mutex guards the map and counters), and so
+// are the plans it hands out: PlanND::execute keeps its workspace per call,
+// so any number of threads may execute one cached plan at once, each on
+// its own buffer.
 #pragma once
 
 #include <map>
@@ -24,7 +24,6 @@
 #include <mutex>
 
 #include "xfft/fftnd.hpp"
-#include "xfft/plan1d.hpp"
 
 namespace xfft {
 
@@ -35,17 +34,13 @@ class PlanCache {
   /// `capacity` bounds the number of retained plans (>= 1).
   explicit PlanCache(std::size_t capacity = kDefaultCapacity);
 
-  /// Returns the cached 1-D plan for (n, dir, opt), creating it on miss.
-  std::shared_ptr<Plan1D<float>> plan_1d(std::size_t n, Direction dir,
-                                         PlanOptions opt = {});
-
   /// Returns the cached N-D plan for (dims, dir, opt), creating on miss.
   std::shared_ptr<PlanND<float>> plan_nd(Dims3 dims, Direction dir,
                                          PlanND<float>::Options opt = {});
 
   [[nodiscard]] std::size_t size() const {
     const std::lock_guard<std::mutex> lock(mu_);
-    return cache_1d_.size() + cache_nd_.size();
+    return cache_.size();
   }
   [[nodiscard]] std::size_t capacity() const {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -74,43 +69,32 @@ class PlanCache {
   static PlanCache& global();
 
  private:
-  struct Key1D {
-    std::size_t n;
-    Direction dir;
-    unsigned max_radix;
-    Scaling scaling;
-    auto operator<=>(const Key1D&) const = default;
-  };
-  struct KeyND {
+  struct Key {
     std::size_t nx, ny, nz;
     Direction dir;
     unsigned max_radix;
     Scaling scaling;
-    RotationMode rotation;
-    auto operator<=>(const KeyND&) const = default;
+    auto operator<=>(const Key&) const = default;
   };
-  template <typename P>
   struct Entry {
-    std::shared_ptr<P> plan;
+    std::shared_ptr<PlanND<float>> plan;
     std::uint64_t last_use = 0;  ///< recency stamp from tick_
   };
 
-  /// Evicts least-recently-used entries (across both maps) until the
-  /// combined size fits capacity_. Caller holds mu_.
+  /// Evicts least-recently-used entries until the size fits capacity_.
+  /// Caller holds mu_.
   void evict_to_capacity_locked();
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
-  std::map<Key1D, Entry<Plan1D<float>>> cache_1d_;
-  std::map<KeyND, Entry<PlanND<float>>> cache_nd_;
+  std::map<Key, Entry> cache_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
 
-/// Convenience one-call transforms through the global cache.
-void fft_cached(std::span<Cf> data, Direction dir);
+/// Convenience one-call transform through the global cache.
 void fft_cached_nd(std::span<Cf> data, Dims3 dims, Direction dir);
 
 }  // namespace xfft

@@ -35,8 +35,8 @@
 // Threading model: submit()/wait()/cancel()/stats() may be called from any
 // thread. A single dispatcher thread owns execution; within a job the
 // kParallel rung fans out onto the global xpar::ThreadPool. One job
-// executes at a time per server, which is what makes shared cached plans
-// (whose scratch is not concurrently executable) safe here.
+// executes at a time per server; the cached plans it runs are reentrant,
+// so servers and other callers may share them.
 #pragma once
 
 #include <array>

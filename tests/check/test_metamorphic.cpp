@@ -16,7 +16,7 @@ using xcheck::Engine;
 
 TEST(XCheckMetamorphic, FullSuitePasses) {
   const auto results = xcheck::run_metamorphic_suite(/*seed=*/1);
-  ASSERT_GT(results.size(), 100u);  // 11 engines x 9 sizes x 5 properties
+  ASSERT_GT(results.size(), 100u);  // 10 engines x 9 sizes x 5 properties
   for (const auto& r : results) {
     EXPECT_TRUE(r.pass) << r.describe();
   }
@@ -27,8 +27,7 @@ TEST(XCheckMetamorphic, RosterCoversEveryEngineFamily) {
   for (const auto& e : xcheck::all_engines()) names.insert(e.name);
   for (const char* required :
        {"plan1d-r8", "plan1d-r4", "plan1d-r2", "stockham", "dit-recursive",
-        "four-step", "bluestein", "plannd-fused", "plannd-separate", "q15",
-        "resilient-fft"}) {
+        "four-step", "bluestein", "plannd", "q15", "resilient-fft"}) {
     EXPECT_TRUE(names.count(required)) << "missing engine: " << required;
   }
 }

@@ -7,9 +7,10 @@
 // of a multi-dimensional pass, a store through the fused axis rotation. It
 // shares only the radix choice, the small-DFT cores, the digit-reversal map
 // and the twiddle values with Plan1D/PlanND, so EXPECT_EQ against them pins
-// the batched radix8_dif_block loop and the fused-rotation scatter to the
-// per-butterfly arithmetic bit for bit. The suites are named after the
-// paper's XMTC FFT program, of which the reference is a serial transcription.
+// the batched radix8_dif_block loop and PlanND's in-place pencil schedule
+// (full and partial blocks of gathered columns) to the paper's fused
+// schedule bit for bit. The suites are named after the paper's XMTC FFT
+// program, of which the reference is a serial transcription.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -134,16 +135,22 @@ INSTANTIATE_TEST_SUITE_P(Sizes, XmtcFft1D,
                          ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60));
 
 TEST(XmtcFftND, MatchesPlanNDOn3D) {
-  const Dims3 dims{16, 8, 4};
-  const auto input = random_signal(dims.total(), 5);
-  for (const Direction dir : kDirs) {
-    const auto want = reference_fftnd(input, dims, dir);
-    auto got = input;
-    xfft::PlanND<float> plan(dims, dir);
-    plan.execute(std::span<Cf>(got));
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "i=" << i << " inverse="
-                                 << (dir == Direction::kInverse);
+  // {16,8,4}: nx is exactly one pencil block; {4,4,32}: nx is smaller than
+  // a block; {24,6,5}: nx is not a multiple of the block, mixed radices;
+  // {36,20,1}: a 2-D case.
+  for (const Dims3 dims : {Dims3{16, 8, 4}, Dims3{4, 4, 32}, Dims3{24, 6, 5},
+                           Dims3{36, 20, 1}}) {
+    const auto input = random_signal(dims.total(), 5);
+    for (const Direction dir : kDirs) {
+      const auto want = reference_fftnd(input, dims, dir);
+      auto got = input;
+      xfft::PlanND<float> plan(dims, dir);
+      plan.execute(std::span<Cf>(got));
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << dims.nx << "x" << dims.ny << "x" << dims.nz << " i=" << i
+            << " inverse=" << (dir == Direction::kInverse);
+      }
     }
   }
 }

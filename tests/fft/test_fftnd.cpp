@@ -1,5 +1,5 @@
-// Tests for multi-dimensional plans, axis rotation, and the fused-rotation
-// path (the paper's Section IV algorithm).
+// Tests for multi-dimensional plans (the paper's Section IV algorithm) and
+// the standalone axis rotation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@ using xfft::Cf;
 using xfft::Dims3;
 using xfft::Direction;
 using xfft::PlanND;
-using xfft::RotationMode;
 using xfft::Scaling;
 using xfft_test::random_signal;
 using xfft_test::relative_max_error;
@@ -77,87 +76,48 @@ TEST(RotateAxes, SingleAxisIsIdentity) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(dst[i], src[i]);
 }
 
-// Test names embed the default printer's dump of all 32 bytes, so the four
-// bytes after `mode` are an explicit zero field rather than uninitialised
-// padding, which would make the names differ from build to build.
+// Test names embed the default printer's dump of all 32 bytes, so every
+// byte after `dims` is set explicitly: `name_tag` fixes each case's name,
+// where uninitialised padding would make names differ from build to build.
 struct NdCase {
   Dims3 dims;
-  RotationMode mode;
-  std::uint32_t zero_tail = 0;
+  std::uint64_t name_tag = 1;
 };
 static_assert(sizeof(NdCase) == 32, "NdCase must have no padding");
 
 class PlanNDSweep : public ::testing::TestWithParam<NdCase> {};
 
 TEST_P(PlanNDSweep, ForwardMatchesOracle) {
-  const auto [dims, mode, zero_tail] = GetParam();
+  const Dims3 dims = GetParam().dims;
   auto x = random_signal(dims.total(), dims.total());
   const auto want = oracle_3d(x, dims, Direction::kForward);
-  PlanND<float> plan(dims, Direction::kForward,
-                     PlanND<float>::Options{.rotation = mode});
+  PlanND<float> plan(dims, Direction::kForward);
   plan.execute(std::span<Cf>(x));
   EXPECT_LT((relative_max_error<Cf, Cf>(x, want)), tol_f(dims.total()));
 }
 
 TEST_P(PlanNDSweep, RoundTripIsIdentity) {
-  const auto [dims, mode, zero_tail] = GetParam();
+  const Dims3 dims = GetParam().dims;
   const auto original = random_signal(dims.total(), dims.total() + 7);
   auto x = original;
-  PlanND<float> fwd(dims, Direction::kForward,
-                    PlanND<float>::Options{.rotation = mode});
-  PlanND<float> inv(dims, Direction::kInverse,
-                    PlanND<float>::Options{.rotation = mode});
+  PlanND<float> fwd(dims, Direction::kForward);
+  PlanND<float> inv(dims, Direction::kInverse);
   fwd.execute(std::span<Cf>(x));
   inv.execute(std::span<Cf>(x));
   EXPECT_LT((relative_max_error<Cf, Cf>(x, original)), tol_f(dims.total()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Separate, PlanNDSweep,
-    ::testing::Values(NdCase{{8, 8, 1}, RotationMode::kSeparate},
-                      NdCase{{16, 4, 1}, RotationMode::kSeparate},
-                      NdCase{{4, 16, 1}, RotationMode::kSeparate},
-                      NdCase{{8, 8, 8}, RotationMode::kSeparate},
-                      NdCase{{16, 8, 4}, RotationMode::kSeparate},
-                      NdCase{{4, 4, 32}, RotationMode::kSeparate},
-                      NdCase{{32, 32, 1}, RotationMode::kSeparate},
-                      NdCase{{16, 16, 16}, RotationMode::kSeparate}));
-
-INSTANTIATE_TEST_SUITE_P(
     Fused, PlanNDSweep,
-    ::testing::Values(NdCase{{8, 8, 1}, RotationMode::kFusedRotation},
-                      NdCase{{16, 4, 1}, RotationMode::kFusedRotation},
-                      NdCase{{4, 16, 1}, RotationMode::kFusedRotation},
-                      NdCase{{8, 8, 8}, RotationMode::kFusedRotation},
-                      NdCase{{16, 8, 4}, RotationMode::kFusedRotation},
-                      NdCase{{4, 4, 32}, RotationMode::kFusedRotation},
-                      NdCase{{32, 32, 1}, RotationMode::kFusedRotation},
-                      NdCase{{16, 16, 16}, RotationMode::kFusedRotation}));
+    ::testing::Values(NdCase{{8, 8, 1}}, NdCase{{16, 4, 1}},
+                      NdCase{{4, 16, 1}}, NdCase{{8, 8, 8}},
+                      NdCase{{16, 8, 4}}, NdCase{{4, 4, 32}},
+                      NdCase{{32, 32, 1}}, NdCase{{16, 16, 16}}));
 
-INSTANTIATE_TEST_SUITE_P(
-    NonPowerOfTwo, PlanNDSweep,
-    ::testing::Values(NdCase{{12, 6, 1}, RotationMode::kFusedRotation},
-                      NdCase{{6, 10, 3}, RotationMode::kSeparate},
-                      NdCase{{9, 9, 9}, RotationMode::kFusedRotation}));
-
-TEST(PlanND, FusedAndSeparateAgreeExactly) {
-  // Both paths perform the same arithmetic per row, so results should agree
-  // to the last bit, not just within tolerance.
-  const Dims3 dims{16, 8, 4};
-  const auto input = random_signal(dims.total(), 5);
-  auto a = input;
-  auto b = input;
-  PlanND<float> sep(dims, Direction::kForward,
-                    PlanND<float>::Options{.rotation = RotationMode::kSeparate});
-  PlanND<float> fus(
-      dims, Direction::kForward,
-      PlanND<float>::Options{.rotation = RotationMode::kFusedRotation});
-  sep.execute(std::span<Cf>(a));
-  fus.execute(std::span<Cf>(b));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "i=" << i;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, PlanNDSweep,
+                         ::testing::Values(NdCase{{12, 6, 1}},
+                                           NdCase{{6, 10, 3}, 0},
+                                           NdCase{{9, 9, 9}}));
 
 TEST(PlanND, RankOneBehavesLikePlan1D) {
   const Dims3 dims{64, 1, 1};

@@ -264,24 +264,6 @@ TEST(Plan1D, DoublePrecisionIsMoreAccurate) {
   EXPECT_LT((relative_max_error<xfft::Cd, xfft::Cd>(xd, want)), 1e-12);
 }
 
-TEST(Plan1D, ScatterAffineMatchesExecute) {
-  const std::size_t n = 256;
-  const auto input = random_signal(n, 9);
-  Plan1D<float> plan(n, Direction::kForward);
-
-  auto a = input;
-  plan.execute(std::span<Cf>(a));
-
-  auto row = input;
-  const std::size_t stride = 3;
-  std::vector<Cf> out(3 + n * stride, Cf{0.0F, 0.0F});
-  plan.execute_scatter_affine(std::span<Cf>(row), std::span<Cf>(out),
-                              /*offset=*/3, stride);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_EQ(out[3 + k * stride], a[k]) << "k=" << k;
-  }
-}
-
 TEST(Plan1D, ActualFlopsScalesWithNLogN) {
   Plan1D<float> p512(512, Direction::kForward);
   Plan1D<float> p4096(4096, Direction::kForward);

@@ -1,14 +1,19 @@
 // End-to-end determinism across thread counts: the same FFT and the same
 // fuzzing campaign must produce byte-identical results on a 1-, 2- and
 // 8-thread global pool. This is the contract that lets --threads be a pure
-// performance knob everywhere in the repository.
+// performance knob everywhere in the repository. Also: one cached plan
+// executed from several threads at once gives each caller the bytes of a
+// single-thread run.
 #include <cstring>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "xcheck/fuzzer.hpp"
 #include "xfft/fftnd.hpp"
+#include "xfft/plan_cache.hpp"
 #include "xpar/pool.hpp"
 #include "xutil/rng.hpp"
 
@@ -33,25 +38,19 @@ class GlobalPoolSweep : public ::testing::Test {
 TEST_F(GlobalPoolSweep, FftNdBytesIdenticalAt1_2_8Threads) {
   const xfft::Dims3 dims{32, 16, 8};
   const auto input = random_signal(dims.total(), 7);
-  for (const auto rotation :
-       {xfft::RotationMode::kFusedRotation, xfft::RotationMode::kSeparate}) {
-    const xfft::PlanND<float> plan(
-        dims, xfft::Direction::kForward,
-        {.max_radix = 8, .scaling = xfft::Scaling::kUnitary1OverN,
-         .rotation = rotation});
-    std::vector<std::vector<xfft::Cf>> outs;
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      xpar::ThreadPool::set_global_threads(threads);
-      auto data = input;
-      plan.execute(std::span<xfft::Cf>(data));
-      outs.push_back(std::move(data));
-    }
-    for (std::size_t i = 1; i < outs.size(); ++i) {
-      ASSERT_EQ(outs[0].size(), outs[i].size());
-      EXPECT_EQ(std::memcmp(outs[0].data(), outs[i].data(),
-                            outs[0].size() * sizeof(xfft::Cf)),
-                0);
-    }
+  const xfft::PlanND<float> plan(dims, xfft::Direction::kForward);
+  std::vector<std::vector<xfft::Cf>> outs;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    xpar::ThreadPool::set_global_threads(threads);
+    auto data = input;
+    plan.execute(std::span<xfft::Cf>(data));
+    outs.push_back(std::move(data));
+  }
+  for (std::size_t i = 1; i < outs.size(); ++i) {
+    ASSERT_EQ(outs[0].size(), outs[i].size());
+    EXPECT_EQ(std::memcmp(outs[0].data(), outs[i].data(),
+                          outs[0].size() * sizeof(xfft::Cf)),
+              0);
   }
 }
 
@@ -82,6 +81,48 @@ TEST_F(GlobalPoolSweep, FuzzReportByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_EQ(reports[0], reports[2]);
+}
+
+TEST(CachedPlan, FourThreadsExecuteOnePlanBytewise) {
+  // PlanCache hands the same instance to every caller, so execute() must be
+  // reentrant. Each thread gets its own input, so a workspace shared
+  // between callers would mix transforms rather than rewrite equal values.
+  constexpr int kThreads = 4;
+  constexpr int kTrials = 5;
+  const xfft::Dims3 dims{32, 32, 32};
+  const auto plan =
+      xfft::PlanCache::global().plan_nd(dims, xfft::Direction::kForward);
+  xfft::ExecOptions serial_exec;
+  serial_exec.serial = true;
+  std::vector<std::vector<xfft::Cf>> inputs;
+  std::vector<std::vector<xfft::Cf>> wants;
+  for (int t = 0; t < kThreads; ++t) {
+    inputs.push_back(random_signal(dims.total(), 100 + t));
+    wants.push_back(inputs.back());
+    plan->execute(std::span<xfft::Cf>(wants.back()), serial_exec);
+  }
+  for (const bool serial : {false, true}) {
+    xfft::ExecOptions exec;
+    exec.serial = serial;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto outs = inputs;
+      std::latch start(kThreads);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          plan->execute(std::span<xfft::Cf>(outs[t]), exec);
+        });
+      }
+      for (auto& th : threads) th.join();
+      for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(std::memcmp(outs[t].data(), wants[t].data(),
+                              outs[t].size() * sizeof(xfft::Cf)),
+                  0)
+            << "serial=" << serial << " trial=" << trial << " thread=" << t;
+      }
+    }
+  }
 }
 
 }  // namespace
