@@ -1,10 +1,13 @@
-// Small-DFT cores used inside each radix-r butterfly.
+// The DIF stage kernel: small-DFT cores and the batched butterfly loop.
 //
 // The hardcoded radix-2/4/8 cores mirror the structure a TCU register-file
 // kernel would use on XMT (Section IV-A: radix 8 is the largest practical
 // radix because a TCU's 32 floating-point registers hold 16 single-precision
 // complex values). A generic O(r^2) core supports other radices (3, 5, ...)
-// so the library handles any smooth size.
+// so the library handles any smooth size. dif_block runs one block of a
+// stage through a core in double precision, multiplies by the stage's
+// precomputed twiddle row with cmul, a complex multiply written out in real
+// arithmetic, and rounds once per stored output.
 #pragma once
 
 #include <complex>
@@ -17,6 +20,19 @@ namespace xfft {
 
 /// Maximum radix the generic core accepts (bounded local scratch).
 inline constexpr unsigned kMaxRadix = 64;
+
+/// Complex product written out as (ac - bd, ad + bc). These are the
+/// operations, in the order, of GCC's std::complex multiply, without its
+/// branch to __mulsc3/__muldc3 when both parts come out NaN (the C Annex G
+/// recovery of infinities), which keeps the multiply vectorizable. With no
+/// FP contraction (ISO C++ mode, no -march) the result is bit-identical to
+/// `a * b` whenever that branch is not taken, i.e. for finite products.
+template <typename T>
+[[nodiscard]] inline std::complex<T> cmul(std::complex<T> a,
+                                          std::complex<T> b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
 
 /// In-place 2-point DFT (self-inverse up to scaling).
 template <typename T>
@@ -57,10 +73,10 @@ inline void dft8(std::complex<T>* v, bool inverse) {
   const T s = inverse ? T(1) : T(-1);
   const std::complex<T> w1(c, s * c);
   const std::complex<T> w3(-c, s * c);
-  o[1] *= w1;
+  o[1] = cmul(o[1], w1);
   o[2] = inverse ? std::complex<T>(-o[2].imag(), o[2].real())
                  : std::complex<T>(o[2].imag(), -o[2].real());
-  o[3] *= w3;
+  o[3] = cmul(o[3], w3);
 
   for (int k = 0; k < 4; ++k) {
     v[k] = e[k] + o[k];
@@ -87,51 +103,41 @@ inline void dft_generic(std::complex<T>* v, unsigned r,
   for (unsigned i = 0; i < r; ++i) v[i] = y[i];
 }
 
-/// Dispatches to the fastest available core for radix r.
-/// `master` must be the plan's full-size table (its direction determines
-/// forward/inverse for the generic path; `inverse` must agree with it).
-template <typename T>
-inline void small_dft(std::complex<T>* v, unsigned r, bool inverse,
-                      const TwiddleTable<T>& master, std::size_t n) {
-  switch (r) {
-    case 2:
-      dft2(v);
-      break;
-    case 4:
-      dft4(v, inverse);
-      break;
-    case 8:
-      dft8(v, inverse);
-      break;
-    default:
-      dft_generic(v, r, master, n);
-      break;
-  }
-}
-
-/// Batched radix-8 DIF inner loop over one block: all `sub` butterflies of
-/// the block starting at `p`, loads and stores at stride `sub`. This is the
-/// hot loop of every power-of-8 transform, so the radix is a compile-time
-/// constant here: the per-butterfly radix dispatch and variable-bound copy
-/// loops of the generic path collapse into straight-line code the compiler
-/// can keep in registers and vectorize. The arithmetic — loads, dft8,
-/// ascending-i twiddle multiplies with index (i*j % block) * tw_stride,
-/// stores — is identical in order to the generic path, so results are
-/// bit-for-bit the same (tests/fft/test_dif_oracle.cpp pins this against a
-/// serial per-butterfly reference).
-template <typename T>
-inline void radix8_dif_block(std::complex<T>* p, std::size_t sub,
-                             std::size_t block, std::size_t tw_stride,
-                             const TwiddleTable<T>& tw, bool inverse) {
+/// Radix-R DIF butterflies over one block: all `sub` butterflies of the
+/// block starting at `p`, loads and stores at stride `sub`. Butterfly j
+/// widens its R inputs to double, runs the R-point core, multiplies output
+/// i (i = 1..R-1) by its stage twiddle row[j*(R-1) + i-1] = w_block^{-i*j}
+/// and rounds each output once when it stores it. This is the only stage
+/// loop of Plan1D: R = 2, 4 and 8 are compile-time constants, so the core
+/// and the copy loops become straight-line code the compiler keeps in
+/// registers; R = 0 runs the runtime radix `r` (odd factors) through
+/// dft_generic with the plan's master table `master` of size `n`.
+/// tests/fft/test_dif_oracle.cpp pins the result bit for bit to a serial
+/// per-butterfly reference that multiplies with std::complex operators.
+template <unsigned R, typename T>
+inline void dif_block(std::complex<T>* p, std::size_t sub, unsigned r,
+                      const std::complex<double>* row, bool inverse,
+                      const TwiddleTable<double>& master, std::size_t n) {
+  static_assert(R == 0 || R == 2 || R == 4 || R == 8);
+  const unsigned radix = R == 0 ? r : R;
+  std::complex<double> v[R == 0 ? kMaxRadix : R];
   for (std::size_t j = 0; j < sub; ++j) {
     std::complex<T>* const q = p + j;
-    std::complex<T> v[8];
-    for (unsigned t = 0; t < 8; ++t) v[t] = q[t * sub];
-    dft8(v, inverse);
-    for (unsigned i = 1; i < 8; ++i) {
-      v[i] *= tw[(static_cast<std::size_t>(i) * j % block) * tw_stride];
+    for (unsigned t = 0; t < radix; ++t) {
+      v[t] = std::complex<double>(q[t * sub]);
     }
-    for (unsigned t = 0; t < 8; ++t) q[t * sub] = v[t];
+    if constexpr (R == 2) {
+      dft2(v);
+    } else if constexpr (R == 4) {
+      dft4(v, inverse);
+    } else if constexpr (R == 8) {
+      dft8(v, inverse);
+    } else {
+      dft_generic(v, r, master, n);
+    }
+    const std::complex<double>* const w = row + j * (radix - 1);
+    for (unsigned i = 1; i < radix; ++i) v[i] = cmul(v[i], w[i - 1]);
+    for (unsigned t = 0; t < radix; ++t) q[t * sub] = std::complex<T>(v[t]);
   }
 }
 

@@ -59,14 +59,38 @@ Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
     return;
   }
   perm_ = dif_output_permutation(radices_, n_);
-  // Flop accounting: per stage of radix r there are n/r butterflies, each
-  // running the r-point core plus (r-1) twiddle complex multiplies.
+  rows_.reserve(n_ - 1);
+  std::size_t block = n_;
   for (const unsigned r : radices_) {
+    // Flop accounting: per stage of radix r there are n/r butterflies, each
+    // running the r-point core plus (r-1) twiddle complex multiplies.
     const std::uint64_t butterflies = n_ / r;
     flops_ += butterflies * (small_dft_flops(r) + 6ULL * (r - 1));
+    const std::size_t sub = block / r;
+    const std::size_t tw_stride = n_ / block;
+    for (std::size_t j = 0; j < sub; ++j) {
+      for (std::size_t i = 1; i < r; ++i) {
+        rows_.push_back(tw_[i * j * tw_stride]);
+      }
+    }
+    block = sub;
   }
   scratch_.resize(n_);
 }
+
+namespace {
+
+/// One stage: every block of length `block` through dif_block<R>.
+template <unsigned R, typename T>
+void dif_stage(std::complex<T>* data, std::size_t n, std::size_t block,
+               unsigned r, const std::complex<double>* row, bool inverse,
+               const TwiddleTable<double>& tw) {
+  for (std::size_t base = 0; base < n; base += block) {
+    dif_block<R>(data + base, block / r, r, row, inverse, tw, n);
+  }
+}
+
+}  // namespace
 
 template <typename T>
 void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
@@ -75,39 +99,30 @@ void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
                                                    << " != plan size " << n_);
   if (n_ == 1) return;
   const bool inverse = dir_ == Direction::kInverse;
-  std::complex<T> v[kMaxRadix];
+  const std::complex<double>* row = rows_.data();
   std::size_t block = n_;
   for (const unsigned r : radices_) {
     // Stage-granularity cancellation: a deadline aborts between butterfly
     // passes (each O(n)), leaving the buffer in a partial state the caller
     // has agreed to discard.
     if (cancel != nullptr && cancel->expired()) return;
-    const std::size_t sub = block / r;
-    const std::size_t tw_stride = n_ / block;
-    if (r == 8) {
-      // The paper's radix (Section IV-A) gets the batched inner loop:
-      // constant trip counts, dispatch hoisted out of the butterfly —
-      // same arithmetic, in the same order, as the generic path below.
-      for (std::size_t base = 0; base < n_; base += block) {
-        radix8_dif_block(data.data() + base, sub, block, tw_stride, tw_,
-                         inverse);
-      }
-      block = sub;
-      continue;
+    std::complex<T>* const p = data.data();
+    switch (r) {
+      case 2:
+        dif_stage<2>(p, n_, block, r, row, inverse, tw_);
+        break;
+      case 4:
+        dif_stage<4>(p, n_, block, r, row, inverse, tw_);
+        break;
+      case 8:
+        dif_stage<8>(p, n_, block, r, row, inverse, tw_);
+        break;
+      default:
+        dif_stage<0>(p, n_, block, r, row, inverse, tw_);
+        break;
     }
-    for (std::size_t base = 0; base < n_; base += block) {
-      for (std::size_t j = 0; j < sub; ++j) {
-        std::complex<T>* p = data.data() + base + j;
-        for (unsigned t = 0; t < r; ++t) v[t] = p[t * sub];
-        small_dft(v, r, inverse, tw_, n_);
-        // Twiddle: X_i *= w_block^{-i*j}; i = 0 is unity and skipped.
-        for (unsigned i = 1; i < r; ++i) {
-          v[i] *= tw_[(static_cast<std::size_t>(i) * j % block) * tw_stride];
-        }
-        for (unsigned t = 0; t < r; ++t) p[t * sub] = v[t];
-      }
-    }
-    block = sub;
+    block /= r;
+    row += block * (r - 1);
   }
 }
 

@@ -32,11 +32,24 @@ struct PlanOptions {
 
 /// In-place 1-D FFT plan over std::complex<T>, natural order in and out.
 ///
-/// The plan owns its twiddle table and digit-reversal permutation, so
-/// executing is allocation-free except for a reusable scratch buffer.
+/// The plan owns its twiddle table, one precomputed twiddle row per stage
+/// and the digit-reversal permutation, so executing is allocation-free
+/// except for a reusable scratch buffer.
 /// A plan is cheap to execute many times (amortizing table construction),
 /// mirroring FFTW's plan/execute split. Executing the same plan from
 /// multiple threads concurrently is not supported (shared scratch).
+///
+/// Each stage computes in double precision, also for T = float: a
+/// butterfly widens its inputs, runs its core and its twiddle multiplies on
+/// double-precision roots, and rounds each output once to T. With float
+/// arithmetic the rounding error of a round trip would repeat on every pass
+/// over similar data, so forward+inverse round trips on one buffer would
+/// drift linearly; with one rounding per stage the drift is a random walk.
+/// The output is bit-identical to the same schedule run one butterfly at a
+/// time with std::complex<double> operators for finite inputs whose
+/// spectrum does not overflow. A non-finite input (NaN or an infinity) or
+/// an overflowing spectrum gives unspecified values, but never an
+/// all-finite output.
 template <typename T>
 class Plan1D {
  public:
@@ -77,7 +90,11 @@ class Plan1D {
   Direction dir_;
   PlanOptions opt_;
   std::vector<unsigned> radices_;
-  TwiddleTable<T> tw_;
+  TwiddleTable<double> tw_;
+  // Stage twiddle rows back to back, n-1 roots in all: a stage of radix r
+  // and block length L = r*sub holds row[j*(r-1) + i-1] = w_L^{-i*j} for
+  // j < sub, 1 <= i < r. Since i*j < L the index needs no modulo.
+  xutil::AlignedVector<std::complex<double>> rows_;
   // perm_[k] = position of frequency k in the digit-reversed stage output.
   std::vector<std::uint32_t> perm_;
   std::uint64_t flops_ = 0;

@@ -21,16 +21,6 @@ TwiddleTable<T>::TwiddleTable(std::size_t n, Direction dir) {
   }
 }
 
-template <typename T>
-std::complex<T> TwiddleTable<T>::stage_twiddle(std::size_t block_len,
-                                               std::size_t i,
-                                               std::size_t j) const {
-  const std::size_t n = w_.size();
-  XU_DCHECK(block_len != 0 && n % block_len == 0);
-  const std::size_t stride = n / block_len;
-  return w_[(i * j % block_len) * stride];
-}
-
 template class TwiddleTable<float>;
 template class TwiddleTable<double>;
 

@@ -20,7 +20,8 @@
 namespace xfft {
 
 /// Master table W[k] = exp(-2*pi*i*k/N) for k in [0, N).
-/// A stage of block length L reads its twiddle w_L^{-i*j} as W[(i*j*(N/L)) % N].
+/// A stage of block length L uses the twiddle w_L^{-i*j} = W[i*j*(N/L)]
+/// (i*j < L); Plan1D copies these into one row per stage.
 template <typename T>
 class TwiddleTable {
  public:
@@ -36,11 +37,6 @@ class TwiddleTable {
   [[nodiscard]] std::complex<T> operator[](std::size_t k) const {
     return w_[k];
   }
-
-  /// Twiddle w_L^{-i*j} for a stage of block length L (L divides n).
-  [[nodiscard]] std::complex<T> stage_twiddle(std::size_t block_len,
-                                              std::size_t i,
-                                              std::size_t j) const;
 
   [[nodiscard]] const std::complex<T>* data() const { return w_.data(); }
 

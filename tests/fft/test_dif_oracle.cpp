@@ -1,19 +1,25 @@
-// Exactness oracle for the plan library's DIF kernels.
+// Exactness oracle for the plan library's DIF kernel.
 //
-// The reference below is the paper's breadth-first radix-8 DIF program
-// (Section IV-A) run serially, one butterfly at a time: r strided loads,
-// small_dft, twiddles read from the replicated lookup table (decimated
-// between iterations), then an in-place store — or, on the last iteration
-// of a multi-dimensional pass, a store through the fused axis rotation. It
-// shares only the radix choice, the small-DFT cores, the digit-reversal map
-// and the twiddle values with Plan1D/PlanND, so EXPECT_EQ against them pins
-// the batched radix8_dif_block loop and PlanND's in-place pencil schedule
-// (full and partial blocks of gathered columns) to the paper's fused
-// schedule bit for bit. The suites are named after the paper's XMTC FFT
-// program, of which the reference is a serial transcription.
+// The reference below is the paper's breadth-first DIF program (Section IV-A)
+// run serially, one butterfly at a time: r strided loads widened to double, a
+// small-DFT core picked per butterfly, twiddle multiplies with std::complex's
+// `*=`, then each output rounded to the plan's precision and stored in place —
+// or, on the last iteration of a multi-dimensional pass, stored through the
+// fused axis rotation. Every twiddle index also goes through the replicated
+// lookup table (decimated between iterations), whose float entry must be the
+// rounding of the double root the reference multiplies by. The reference shares
+// only the radix list, the small-DFT cores, the digit-reversal map and the root
+// values with Plan1D/PlanND, so EXPECT_EQ against them pins the batched
+// dif_block loop, its precomputed per-stage twiddle rows, its written-out
+// complex multiply (xfft::cmul) and PlanND's in-place pencil schedule (full and
+// partial blocks of gathered columns) to the paper's fused schedule bit for
+// bit. The suites are named after the paper's XMTC FFT program, of which the
+// reference is a serial transcription.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,6 +32,7 @@
 
 namespace {
 
+using xfft::Cd;
 using xfft::Cf;
 using xfft::Dims3;
 using xfft::Direction;
@@ -36,14 +43,36 @@ using xfft_test::tol_f;
 constexpr std::size_t kReplicas = 4;  // any count >= 2 exercises replication
 constexpr Direction kDirs[] = {Direction::kForward, Direction::kInverse};
 
-/// Runs every DIF stage over each length-`len` (>= 2) row of `buf`. With
-/// `rotated` null the rows end in digit-reversed order in place; otherwise
-/// the last stage writes frequency k of row `row` to rotated[k*rows + row].
-void dif_rows(std::span<Cf> buf, std::size_t len, Direction dir, Cf* rotated) {
+/// The r-point core for one butterfly, dispatched at run time.
+void small_dft(Cd* v, unsigned r, bool inverse,
+               const xfft::TwiddleTable<double>& master, std::size_t n) {
+  switch (r) {
+    case 2:
+      xfft::dft2(v);
+      break;
+    case 4:
+      xfft::dft4(v, inverse);
+      break;
+    case 8:
+      xfft::dft8(v, inverse);
+      break;
+    default:
+      xfft::dft_generic(v, r, master, n);
+      break;
+  }
+}
+
+/// Runs the DIF stages `radices` over each length-`len` (>= 2) row of `buf`.
+/// With `rotated` null the rows end in digit-reversed order in place;
+/// otherwise the last stage writes frequency k of row `row` to
+/// rotated[k*rows + row].
+template <typename T>
+void dif_rows(std::span<std::complex<T>> buf, std::size_t len,
+              const std::vector<unsigned>& radices, Direction dir,
+              std::complex<T>* rotated) {
   const std::size_t rows = buf.size() / len;
-  const auto radices = xfft::choose_radices(len, 8);
   xfft::ReplicatedTwiddleTable table(len, kReplicas, dir);
-  const xfft::TwiddleTable<float> master(len, dir);
+  const xfft::TwiddleTable<double> roots(len, dir);
   const auto perm = xfft::dif_output_permutation(radices, len);
   std::vector<std::size_t> freq(len);
   for (std::size_t k = 0; k < len; ++k) freq[perm[k]] = k;
@@ -58,16 +87,19 @@ void dif_rows(std::span<Cf> buf, std::size_t len, Direction dir, Cf* rotated) {
       const std::size_t row = tid / (len / r);
       const std::size_t j = tid % (len / r);
       const std::size_t first = (j / sub) * block + j % sub;
-      Cf* p = buf.data() + row * len;
-      Cf v[xfft::kMaxRadix];
-      for (unsigned i = 0; i < r; ++i) v[i] = p[first + i * sub];
-      xfft::small_dft(v, r, dir == Direction::kInverse, master, len);
+      std::complex<T>* p = buf.data() + row * len;
+      Cd v[xfft::kMaxRadix];
+      for (unsigned i = 0; i < r; ++i) v[i] = Cd(p[first + i * sub]);
+      small_dft(v, r, dir == Direction::kInverse, roots, len);
       for (unsigned i = 1; i < r; ++i) {
-        v[i] *= table.read(tid, (i * (j % sub) % block) * (len / block));
+        const std::size_t k = (i * (j % sub) % block) * (len / block);
+        EXPECT_EQ(table.read(tid, k), Cf(roots[k])) << "root " << k;
+        v[i] *= roots[k];
       }
       for (unsigned i = 0; i < r; ++i) {
         const std::size_t pos = first + i * sub;
-        (fused ? rotated[freq[pos] * rows + row] : p[pos]) = v[i];
+        (fused ? rotated[freq[pos] * rows + row] : p[pos]) =
+            std::complex<T>(v[i]);
       }
     }
     if (s + 1 < radices.size()) table.decimate(r);
@@ -75,18 +107,21 @@ void dif_rows(std::span<Cf> buf, std::size_t len, Direction dir, Cf* rotated) {
   }
 }
 
-void scale_inverse(std::vector<Cf>& x, Direction dir) {
+template <typename T>
+void scale_inverse(std::vector<std::complex<T>>& x, Direction dir) {
   if (dir != Direction::kInverse) return;
-  const float s = 1.0F / static_cast<float>(x.size());
+  const T s = T(1) / static_cast<T>(x.size());
   for (auto& v : x) v *= s;
 }
 
-std::vector<Cf> reference_fft1d(std::vector<Cf> x, Direction dir) {
+template <typename T>
+std::vector<std::complex<T>> reference_fft1d(
+    std::vector<std::complex<T>> x, const std::vector<unsigned>& radices,
+    Direction dir) {
   const std::size_t n = x.size();
-  dif_rows(x, n, dir, nullptr);
-  const auto perm =
-      xfft::dif_output_permutation(xfft::choose_radices(n, 8), n);
-  std::vector<Cf> out(n);
+  dif_rows<T>(x, n, radices, dir, nullptr);
+  const auto perm = xfft::dif_output_permutation(radices, n);
+  std::vector<std::complex<T>> out(n);
   for (std::size_t k = 0; k < n; ++k) out[k] = x[perm[k]];
   scale_inverse(out, dir);
   return out;
@@ -99,40 +134,57 @@ std::vector<Cf> reference_fftnd(std::vector<Cf> x, Dims3 dims, Direction dir) {
   std::vector<Cf> rotated(x.size());
   for (const std::size_t len : {dims.nx, dims.ny, dims.nz}) {
     if (len == 1) continue;
-    dif_rows(x, len, dir, rotated.data());
+    dif_rows<float>(x, len, xfft::choose_radices(len, 8), dir,
+                    rotated.data());
     std::swap(x, rotated);
   }
   scale_inverse(x, dir);
   return x;
 }
 
+/// Float and double plans of every radix limit against the reference.
+template <typename T>
+void expect_plan_matches_reference(std::size_t n) {
+  const auto signal = random_signal(n, n + 77);
+  const std::vector<std::complex<T>> input(signal.begin(), signal.end());
+  for (const unsigned max_radix : {8u, 4u, 2u}) {
+    for (const Direction dir : kDirs) {
+      xfft::Plan1D<T> plan(n, dir, {.max_radix = max_radix});
+      const auto want = reference_fft1d<T>(input, plan.radices(), dir);
+      auto got = input;
+      plan.execute(std::span<std::complex<T>>(got));
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << "i=" << i << " max_radix=" << max_radix
+            << " inverse=" << (dir == Direction::kInverse)
+            << " double=" << std::is_same_v<T, double>;
+      }
+    }
+  }
+}
+
 class XmtcFft1D : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(XmtcFft1D, MatchesPlanLibraryExactly) {
-  const std::size_t n = GetParam();
-  const auto input = random_signal(n, n + 77);
-  for (const Direction dir : kDirs) {
-    const auto want = reference_fft1d(input, dir);
-    auto got = input;
-    xfft::Plan1D<float> plan(n, dir);
-    plan.execute(std::span<Cf>(got));
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "i=" << i << " inverse="
-                                 << (dir == Direction::kInverse);
-    }
-  }
+  expect_plan_matches_reference<float>(GetParam());
+  expect_plan_matches_reference<double>(GetParam());
 }
 
 TEST_P(XmtcFft1D, InverseRoundTrips) {
   const std::size_t n = GetParam();
   const auto input = random_signal(n, n + 78);
-  const auto x = reference_fft1d(reference_fft1d(input, Direction::kForward),
-                                 Direction::kInverse);
+  const auto radices = xfft::choose_radices(n, 8);
+  const auto x = reference_fft1d<float>(
+      reference_fft1d<float>(input, radices, Direction::kForward), radices,
+      Direction::kInverse);
   EXPECT_LT((relative_max_error<Cf, Cf>(x, input)), tol_f(n));
 }
 
+// 128 = 8*8*2 and 256 = 8*8*4 (the row length of the 256^3 benchmark) end
+// in a radix-2 or radix-4 stage; 4096 = 8^4.
 INSTANTIATE_TEST_SUITE_P(Sizes, XmtcFft1D,
-                         ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60));
+                         ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60,
+                                           128, 256, 4096));
 
 TEST(XmtcFftND, MatchesPlanNDOn3D) {
   // {16,8,4}: nx is exactly one pencil block; {4,4,32}: nx is smaller than

@@ -2,6 +2,10 @@
 // checked against the O(N^2) double-precision oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
+#include <limits>
 #include <numeric>
 
 #include "test_helpers.hpp"
@@ -272,6 +276,40 @@ TEST(Plan1D, ActualFlopsScalesWithNLogN) {
   const double ratio = static_cast<double>(p4096.actual_flops()) /
                        static_cast<double>(p512.actual_flops());
   EXPECT_NEAR(ratio, 32.0 / 3.0, 1e-9);
+}
+
+/// Puts `bad` into the real part of one element of a random signal and
+/// expects at least one non-finite output, in both directions.
+template <typename T>
+void expect_non_finite_survives(T bad) {
+  for (const std::size_t n : {256u, 60u}) {
+    for (const Direction dir : {Direction::kForward, Direction::kInverse}) {
+      const auto signal = xfft_test::random_signal_d(n, 8);
+      std::vector<std::complex<T>> x(signal.begin(), signal.end());
+      x[3].real(bad);
+      Plan1D<T> plan(n, dir);
+      plan.execute(std::span<std::complex<T>>(x));
+      const bool any_non_finite =
+          std::any_of(x.begin(), x.end(), [](std::complex<T> v) {
+            return !std::isfinite(v.real()) || !std::isfinite(v.imag());
+          });
+      EXPECT_TRUE(any_non_finite)
+          << "n=" << n << " bad=" << bad
+          << " inverse=" << (dir == Direction::kInverse);
+    }
+  }
+}
+
+TEST(Plan1D, NonFiniteInputNeverComesBackFinite) {
+  // Plan1D documents bit-identity with std::complex arithmetic only for
+  // finite inputs; outside that contract garbage must still look like
+  // garbage.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    expect_non_finite_survives<float>(bad);
+    expect_non_finite_survives<double>(bad);
+  }
 }
 
 TEST(Plan1D, RejectsWrongBufferLength) {

@@ -39,24 +39,6 @@ TEST(TwiddleTable, InverseIsConjugate) {
   }
 }
 
-TEST(TwiddleTable, StageTwiddleIndexing) {
-  // w_L^{-i*j} for block length L must equal W_n[(i*j mod L) * (n/L)].
-  const std::size_t n = 64;
-  const TwiddleTable<double> tw(n, Direction::kForward);
-  for (const std::size_t block : {64u, 8u}) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      for (std::size_t j = 0; j < block / 8; ++j) {
-        const double a = -2.0 * std::numbers::pi *
-                         static_cast<double>(i * j) /
-                         static_cast<double>(block);
-        const auto w = tw.stage_twiddle(block, i, j);
-        EXPECT_NEAR(w.real(), std::cos(a), 1e-13);
-        EXPECT_NEAR(w.imag(), std::sin(a), 1e-13);
-      }
-    }
-  }
-}
-
 TEST(ReplicatedTwiddle, ReadsSpreadOverReplicas) {
   const std::size_t n = 16;
   const std::size_t copies = 4;
