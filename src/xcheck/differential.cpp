@@ -162,8 +162,7 @@ TrialResult run_trial(const TrialCase& tcase, const Envelope& env,
                                   << all_phases.size() << ")");
     }
 
-    const xsim::MachineOptions mopt;
-    xsim::Machine machine(cfg, mopt);
+    xsim::Machine machine(cfg);
     xsim::FaultDerating derate;
     if (!tcase.faults.empty()) {
       const auto plan = xfault::FaultPlan::parse(tcase.faults, tcase.seed);
@@ -208,8 +207,8 @@ TrialResult run_trial(const TrialCase& tcase, const Envelope& env,
           static_cast<double>(cfg.dram_channels()) * derate.dram;
       const double worst_dram =
           accesses *
-          static_cast<double>(mopt.dram_cycles_per_line +
-                              mopt.dram_row_miss_penalty) /
+          static_cast<double>(xsim::kDramCyclesPerLine +
+                              xsim::kDramRowMissPenalty) /
           live_channels * scale;
       // Placement concentration: the prefix-sum allocator hands threads to
       // TCUs in index order, so a phase with fewer threads than TCUs packs

@@ -23,10 +23,12 @@ void save_fingerprint(xckpt::Writer& w, xfft::Dims3 dims,
   w.u32(max_radix);
   w.u32(t.twiddle_copies);
   w.u8(t.twiddle_on_demand ? 1 : 0);
-  w.u32(t.on_demand_flops);
-  w.u64(t.layout.data_base);
-  w.u64(t.layout.rotated_base);
-  w.u64(t.layout.twiddle_base);
+  // The fixed traffic constants stay in the fingerprint so the payload
+  // keeps its schema.
+  w.u32(kOnDemandTwiddleFlops);
+  w.u64(kDataBase);
+  w.u64(kRotatedBase);
+  w.u64(kTwiddleBase);
 }
 
 void check_fingerprint(xckpt::Reader& r, xfft::Dims3 dims,
@@ -35,10 +37,9 @@ void check_fingerprint(xckpt::Reader& r, xfft::Dims3 dims,
                     r.u64() == dims.nz && r.u32() == max_radix &&
                     r.u32() == t.twiddle_copies &&
                     (r.u8() != 0) == t.twiddle_on_demand &&
-                    r.u32() == t.on_demand_flops &&
-                    r.u64() == t.layout.data_base &&
-                    r.u64() == t.layout.rotated_base &&
-                    r.u64() == t.layout.twiddle_base;
+                    r.u32() == kOnDemandTwiddleFlops &&
+                    r.u64() == kDataBase && r.u64() == kRotatedBase &&
+                    r.u64() == kTwiddleBase;
   if (!same) {
     throw xckpt::SnapshotError(
         xckpt::ErrorKind::kMismatch,

@@ -72,14 +72,13 @@ ProgramGenerator make_fft_phase_generator(const MachineConfig& config,
     // Gather the r input points (stride `sub` elements within the row).
     for (unsigned i = 0; i < r; ++i) {
       const std::uint64_t elem = row_base + base + off + i * sub;
-      p.push_back({Step::Kind::kLoad, 1,
-                   o.layout.data_base + elem * kElemBytes});
+      p.push_back({Step::Kind::kLoad, 1, kDataBase + elem * kElemBytes});
     }
     // Twiddle factors: r-1 complex loads from this thread's LUT replica,
     // or on-demand sin/cos evaluation.
     std::uint32_t fp = static_cast<std::uint32_t>(flops);
     if (o.twiddle_on_demand) {
-      fp += static_cast<std::uint32_t>((r - 1) * o.on_demand_flops);
+      fp += static_cast<std::uint32_t>((r - 1) * kOnDemandTwiddleFlops);
     } else {
       const std::uint64_t replica = t % copies;
       for (unsigned i = 1; i < r; ++i) {
@@ -88,8 +87,7 @@ ProgramGenerator make_fft_phase_generator(const MachineConfig& config,
         const std::uint64_t root =
             (static_cast<std::uint64_t>(i) * off % block) * (len / block);
         p.push_back({Step::Kind::kLoad, 1,
-                     o.layout.twiddle_base +
-                         (replica * len + root) * kElemBytes});
+                     kTwiddleBase + (replica * len + root) * kElemBytes});
       }
     }
     // The butterfly arithmetic.
@@ -101,9 +99,9 @@ ProgramGenerator make_fft_phase_generator(const MachineConfig& config,
       if (phase.rotation) {
         // Rotation scatter: row-position p of row `row` lands at
         // p * rows + row in the rotated array (element stride = rows).
-        dst = o.layout.rotated_base + (pos * rows + row) * kElemBytes;
+        dst = kRotatedBase + (pos * rows + row) * kElemBytes;
       } else {
-        dst = o.layout.data_base + (row_base + pos) * kElemBytes;
+        dst = kDataBase + (row_base + pos) * kElemBytes;
       }
       p.push_back({Step::Kind::kStore, 1, dst});
     }
