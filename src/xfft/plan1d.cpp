@@ -80,45 +80,45 @@ Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
 
 namespace {
 
-/// One stage: every block of length `block` through dif_block<R>.
-template <unsigned R, typename T>
-void dif_stage(std::complex<T>* data, std::size_t n, std::size_t block,
-               unsigned r, const std::complex<double>* row, bool inverse,
+/// One stage: every block of length `block` through dif_block<R, L>.
+template <unsigned R, std::size_t L, typename T>
+void dif_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
+               const std::complex<double>* row, bool inverse,
                const TwiddleTable<double>& tw) {
+  constexpr std::size_t S = kElemStride<L>;
   for (std::size_t base = 0; base < n; base += block) {
-    dif_block<R>(data + base, block / r, r, row, inverse, tw, n);
+    dif_block<R, L>(re + base * S, im + base * S, block / r, r, row, inverse,
+                    tw, n);
   }
 }
 
 }  // namespace
 
 template <typename T>
-void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
+template <std::size_t L>
+void Plan1D<T>::run_stages(T* re, T* im,
                            const xutil::CancelToken* cancel) const {
-  XU_CHECK_MSG(data.size() == n_, "buffer length " << data.size()
-                                                   << " != plan size " << n_);
   if (n_ == 1) return;
   const bool inverse = dir_ == Direction::kInverse;
   const std::complex<double>* row = rows_.data();
   std::size_t block = n_;
   for (const unsigned r : radices_) {
     // Stage-granularity cancellation: a deadline aborts between butterfly
-    // passes (each O(n)), leaving the buffer in a partial state the caller
-    // has agreed to discard.
+    // passes (each O(n) per lane), leaving the buffer in a partial state
+    // the caller has agreed to discard.
     if (cancel != nullptr && cancel->expired()) return;
-    std::complex<T>* const p = data.data();
     switch (r) {
       case 2:
-        dif_stage<2>(p, n_, block, r, row, inverse, tw_);
+        dif_stage<2, L>(re, im, n_, block, r, row, inverse, tw_);
         break;
       case 4:
-        dif_stage<4>(p, n_, block, r, row, inverse, tw_);
+        dif_stage<4, L>(re, im, n_, block, r, row, inverse, tw_);
         break;
       case 8:
-        dif_stage<8>(p, n_, block, r, row, inverse, tw_);
+        dif_stage<8, L>(re, im, n_, block, r, row, inverse, tw_);
         break;
       default:
-        dif_stage<0>(p, n_, block, r, row, inverse, tw_);
+        dif_stage<0, L>(re, im, n_, block, r, row, inverse, tw_);
         break;
     }
     block /= r;
@@ -143,9 +143,13 @@ template <typename T>
 void Plan1D<T>::execute(std::span<std::complex<T>> data,
                         std::span<std::complex<T>> scratch,
                         const xutil::CancelToken* cancel) const {
+  XU_CHECK_MSG(data.size() == n_, "buffer length " << data.size()
+                                                   << " != plan size " << n_);
   XU_CHECK_MSG(n_ <= 1 || scratch.size() >= n_,
                "scratch length " << scratch.size() << " < plan size " << n_);
-  run_stages(data, cancel);
+  // [complex.numbers]: a std::complex<T> array is an array of T pairs.
+  T* const re = reinterpret_cast<T*>(data.data());
+  run_stages<1>(re, re + 1, cancel);
   if (cancel != nullptr && cancel->expired()) return;
   if (n_ > 1) {
     for (std::size_t k = 0; k < n_; ++k) scratch[k] = data[perm_[k]];
@@ -153,6 +157,12 @@ void Plan1D<T>::execute(std::span<std::complex<T>> data,
               data.begin());
   }
   apply_scaling(data);
+}
+
+template <typename T>
+void Plan1D<T>::execute_lanes(T* re, T* im,
+                              const xutil::CancelToken* cancel) const {
+  run_stages<kLanes>(re, im, cancel);
 }
 
 template class Plan1D<float>;

@@ -4,6 +4,7 @@
 // end, and ServerStats reconciles exactly with per-request outcomes.
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -87,6 +88,38 @@ TEST(CancelToken, ExpiredTokenShortCircuitsPlanExecution) {
   plan.execute(std::span<xfft::Cf>(data), std::span<xfft::Cf>(scratch),
                &token);
   EXPECT_TRUE(token.expired());
+}
+
+TEST(CancelToken, ExpiredTokenShortCircuitsPencilPasses) {
+  // The y and z passes poll the token between the stages of each pencil
+  // block, so a pre-cancelled token returns from a 3-D execute on both the
+  // pool and the serial path and stays expired; a live token changes no
+  // byte of the output. {40,24,18} ends in a partial pencil block and runs
+  // radix-3 stages.
+  const xfft::Dims3 dims{40, 24, 18};
+  const xfft::PlanND<float> plan(dims, xfft::Direction::kForward);
+  const auto input = signal(dims.total());
+  auto want = input;
+  plan.execute(std::span<xfft::Cf>(want));
+  for (const bool serial : {false, true}) {
+    xutil::CancelToken cancelled;
+    cancelled.cancel();
+    auto data = input;
+    plan.execute(std::span<xfft::Cf>(data),
+                 xfft::ExecOptions{.cancel = &cancelled, .serial = serial});
+    EXPECT_TRUE(cancelled.expired()) << "serial=" << serial;
+
+    xutil::CancelToken live;
+    live.set_deadline(xutil::CancelToken::Clock::now() + 10min);
+    data = input;
+    plan.execute(std::span<xfft::Cf>(data),
+                 xfft::ExecOptions{.cancel = &live, .serial = serial});
+    EXPECT_FALSE(live.expired());
+    EXPECT_EQ(std::memcmp(data.data(), want.data(),
+                          want.size() * sizeof(xfft::Cf)),
+              0)
+        << "serial=" << serial;
+  }
 }
 
 TEST(ExecOptions, SerialExecutionMatchesParallelBitExactly) {
