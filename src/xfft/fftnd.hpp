@@ -9,12 +9,15 @@
 // computation to reduce the number of synchronization points and round
 // trips to memory."
 //
-// The host plan does not rotate. It transforms every axis in place: the x
-// pass runs contiguous rows, and the y and z passes gather blocks of
-// adjacent strided pencils into a small per-chunk buffer, transform them
-// and write them back. Each pencil sees the same values and the same
-// arithmetic as a row of the rotated array, so the output is bit-identical
-// to the paper's fused schedule, which xsim, the performance model and the
+// The host plan does not rotate. It transforms every axis in place, 16
+// transforms at a time through Plan1D::execute_lanes: the y and z passes
+// copy 16 pencils that start at adjacent x row by row into a lane-major
+// work block (one contiguous run per step, no transpose), the x pass
+// transposes 16 consecutive rows into one in cache, and the write-back
+// stores row perm[k] of the result at position k, which is the digit
+// reversal. Each transform sees the same values and the same arithmetic as
+// a row of the rotated array, so the output is bit-identical to the
+// paper's fused schedule, which xsim, the performance model and the
 // exactness oracle in tests/fft/test_dif_oracle.cpp keep.
 #pragma once
 
@@ -59,12 +62,12 @@ void rotate_axes(std::span<const std::complex<T>> src,
 /// workspace per call, so any number of threads may run one plan (e.g. a
 /// PlanCache entry) at once, each on its own buffer.
 ///
-/// Execution is pencil-parallel on the xpar pool: the row pass, the pencil
-/// blocks of the y and z passes and the scaling pass are all chunked with
-/// xpar::parallel_for. Every row/block writes a disjoint region, so output
-/// is byte-identical at any pool size (including 1); callers pick the
-/// concurrency through xpar::ThreadPool::set_global_threads / --threads /
-/// XMTFFT_THREADS.
+/// Execution is block-parallel on the xpar pool: the row blocks of the x
+/// pass, the pencil blocks of the y and z passes and the scaling pass are
+/// all chunked with xpar::parallel_for. Every block writes a disjoint
+/// region, so output is byte-identical at any pool size (including 1);
+/// callers pick the concurrency through
+/// xpar::ThreadPool::set_global_threads / --threads / XMTFFT_THREADS.
 template <typename T>
 class PlanND {
  public:
