@@ -27,9 +27,18 @@ inline constexpr unsigned kMaxRadix = 64;
 /// Complex product written out as (ac - bd, ad + bc). These are the
 /// operations, in the order, of GCC's std::complex multiply, without its
 /// branch to __mulsc3/__muldc3 when both parts come out NaN (the C Annex G
-/// recovery of infinities), which keeps the multiply vectorizable. With no
-/// FP contraction (ISO C++ mode, no -march) the result is bit-identical to
-/// `a * b` whenever that branch is not taken, i.e. for finite products.
+/// recovery of infinities), which keeps the multiply vectorizable. The
+/// result is bit-identical to `a * b` whenever that branch is not taken,
+/// i.e. for finite products, as long as nothing fuses a multiply and an
+/// add. GCC's C++ default is -ffp-contract=fast, also under -std=c++20, so
+/// xfft builds with -ffp-contract=off: the baseline x86-64 build has no FMA
+/// anyway, but the x86-64-v3/v4 builds of the radix-2/4/8 stage loop
+/// (plan1d.cpp) do. GCC 12's SLP vectorizer still turns the complex
+/// multiply into vfmaddsub with contraction off: at -O3 in dft_generic
+/// (`*` and cmul alike), which changed double outputs of odd sizes, and at
+/// -O2 or under the sanitizers in cmul everywhere. So the R = 0 stages run
+/// only in the baseline build, and the vector builds exist only in the -O3
+/// Release library, which CI checks for FMA instructions.
 template <typename T>
 [[nodiscard]] inline std::complex<T> cmul(std::complex<T> a,
                                           std::complex<T> b) {
@@ -123,8 +132,10 @@ inline constexpr std::size_t kElemStride = L == 1 ? 2 : L;
 /// exactly the operations of the L = 1 loop. This is the only stage loop of
 /// Plan1D and PlanND: R = 2, 4 and 8 are compile-time constants, so the
 /// core and the copy loops become straight-line code and the lane loop
-/// vectorizes; R = 0 runs the runtime radix `r` (odd factors) through
-/// dft_generic with the plan's master table `master` of size `n`.
+/// vectorizes, at the widest vector width the CPU has (plan1d.cpp builds
+/// them for x86-64-v4, v3 and baseline); R = 0 runs the runtime radix `r`
+/// (odd factors) through dft_generic with the plan's master table
+/// `master` of size `n`, in the baseline build only (see cmul).
 /// tests/fft/test_dif_oracle.cpp pins the result bit for bit to a serial
 /// per-butterfly reference that multiplies with std::complex operators.
 template <unsigned R, std::size_t L, typename T>

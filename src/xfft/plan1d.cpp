@@ -1,8 +1,12 @@
 #include "xfft/plan1d.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <string_view>
 
 #include "xfft/butterflies.hpp"
+#include "xfft/stage_loop.hpp"
 #include "xutil/check.hpp"
 #include "xutil/units.hpp"
 
@@ -92,7 +96,124 @@ void dif_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
   }
 }
 
+/// A stage of radix 2, 4 or 8 (`r`), the part of the stage loop that has a
+/// build per vector width.
+template <typename T>
+using Pow2Stage = void (*)(T* re, T* im, std::size_t n, std::size_t block,
+                           unsigned r, const std::complex<double>* row,
+                           bool inverse, const TwiddleTable<double>& tw);
+
+template <std::size_t L, typename T>
+void pow2_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
+                const std::complex<double>* row, bool inverse,
+                const TwiddleTable<double>& tw) {
+  switch (r) {
+    case 2:
+      dif_stage<2, L>(re, im, n, block, r, row, inverse, tw);
+      break;
+    case 4:
+      dif_stage<4, L>(re, im, n, block, r, row, inverse, tw);
+      break;
+    default:
+      dif_stage<8, L>(re, im, n, block, r, row, inverse, tw);
+      break;
+  }
+}
+
+// The same source compiled for wider vectors: `flatten` inlines the whole
+// stage, down to the cores and cmul, into the target's code. Built with
+// -ffp-contract=off, and only in the configuration whose code has no FMA
+// instruction (XFFT_STAGE_LOOP_BUILDS, src/xfft/CMakeLists.txt), so every
+// build rounds exactly as the baseline one does. Odd radices stay on the
+// baseline build (see cmul in butterflies.hpp).
+#if defined(XFFT_STAGE_LOOP_BUILDS) && defined(__GNUC__) && \
+    !defined(__clang__) && defined(__x86_64__)
+template <std::size_t L, typename T>
+[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void pow2_stage_v4(
+    T* re, T* im, std::size_t n, std::size_t block, unsigned r,
+    const std::complex<double>* row, bool inverse,
+    const TwiddleTable<double>& tw) {
+  pow2_stage<L>(re, im, n, block, r, row, inverse, tw);
+}
+
+template <std::size_t L, typename T>
+[[gnu::target("arch=x86-64-v3"), gnu::flatten]] void pow2_stage_v3(
+    T* re, T* im, std::size_t n, std::size_t block, unsigned r,
+    const std::complex<double>* row, bool inverse,
+    const TwiddleTable<double>& tw) {
+  pow2_stage<L>(re, im, n, block, r, row, inverse, tw);
+}
+
+/// The builds, widest first; the last runs on any CPU.
+constexpr std::string_view kBuildNames[] = {"x86-64-v4", "x86-64-v3",
+                                            "baseline"};
+template <std::size_t L, typename T>
+constexpr Pow2Stage<T> kPow2Stages[] = {&pow2_stage_v4<L, T>,
+                                        &pow2_stage_v3<L, T>,
+                                        &pow2_stage<L, T>};
+
+bool build_supported(std::size_t b) {
+  __builtin_cpu_init();
+  switch (b) {
+    case 0:
+      return __builtin_cpu_supports("x86-64-v4");
+    case 1:
+      return __builtin_cpu_supports("x86-64-v3");
+    default:
+      return true;
+  }
+}
+#else
+constexpr std::string_view kBuildNames[] = {"baseline"};
+template <std::size_t L, typename T>
+constexpr Pow2Stage<T> kPow2Stages[] = {&pow2_stage<L, T>};
+
+bool build_supported(std::size_t) { return true; }
+#endif
+
+constexpr std::size_t kBuilds = std::size(kBuildNames);
+
+/// Index into kBuildNames of the build every stage loop runs: the widest
+/// the CPU supports, chosen once (or the one a ScopedStageLoopBuild set).
+std::atomic<std::size_t>& active_build() {
+  static std::atomic<std::size_t> build = [] {
+    std::size_t b = 0;
+    while (!build_supported(b)) ++b;
+    return b;
+  }();
+  return build;
+}
+
 }  // namespace
+
+std::string_view stage_loop_build() {
+  return kBuildNames[active_build().load(std::memory_order_relaxed)];
+}
+
+namespace detail {
+
+std::vector<std::string_view> supported_stage_loop_builds() {
+  std::vector<std::string_view> names;
+  for (std::size_t b = 0; b < kBuilds; ++b) {
+    if (build_supported(b)) names.push_back(kBuildNames[b]);
+  }
+  return names;
+}
+
+ScopedStageLoopBuild::ScopedStageLoopBuild(std::string_view name) {
+  const auto* const it = std::find(std::begin(kBuildNames),
+                                   std::end(kBuildNames), name);
+  const auto b = static_cast<std::size_t>(it - std::begin(kBuildNames));
+  XU_CHECK_MSG(b < kBuilds && build_supported(b),
+               "stage loop build " << name << " is not supported here");
+  previous_ = active_build().exchange(b);
+}
+
+ScopedStageLoopBuild::~ScopedStageLoopBuild() {
+  active_build().store(previous_);
+}
+
+}  // namespace detail
 
 template <typename T>
 template <std::size_t L>
@@ -100,6 +221,8 @@ void Plan1D<T>::run_stages(T* re, T* im,
                            const xutil::CancelToken* cancel) const {
   if (n_ == 1) return;
   const bool inverse = dir_ == Direction::kInverse;
+  const Pow2Stage<T> pow2 =
+      kPow2Stages<L, T>[active_build().load(std::memory_order_relaxed)];
   const std::complex<double>* row = rows_.data();
   std::size_t block = n_;
   for (const unsigned r : radices_) {
@@ -107,19 +230,10 @@ void Plan1D<T>::run_stages(T* re, T* im,
     // passes (each O(n) per lane), leaving the buffer in a partial state
     // the caller has agreed to discard.
     if (cancel != nullptr && cancel->expired()) return;
-    switch (r) {
-      case 2:
-        dif_stage<2, L>(re, im, n_, block, r, row, inverse, tw_);
-        break;
-      case 4:
-        dif_stage<4, L>(re, im, n_, block, r, row, inverse, tw_);
-        break;
-      case 8:
-        dif_stage<8, L>(re, im, n_, block, r, row, inverse, tw_);
-        break;
-      default:
-        dif_stage<0, L>(re, im, n_, block, r, row, inverse, tw_);
-        break;
+    if (r == 2 || r == 4 || r == 8) {
+      pow2(re, im, n_, block, r, row, inverse, tw_);
+    } else {
+      dif_stage<0, L>(re, im, n_, block, r, row, inverse, tw_);
     }
     block /= r;
     row += block * (r - 1);

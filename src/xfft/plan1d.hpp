@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "xfft/permute.hpp"
@@ -26,6 +27,12 @@ namespace xfft {
 /// work blocks: 16 pencils at adjacent x are one 128-B run per step along
 /// the pencil in single precision.
 inline constexpr std::size_t kLanes = 16;
+
+/// Name of the build of the radix-2/4/8 stage loop this process runs, the
+/// widest its CPU supports: "x86-64-v4" (AVX-512), "x86-64-v3" (AVX2) or
+/// "baseline" (the only build outside an x86-64 GCC Release library).
+/// Every build gives byte-identical output (docs/architecture.md §3).
+[[nodiscard]] std::string_view stage_loop_build();
 
 /// Tuning options for Plan1D.
 struct PlanOptions {
@@ -102,7 +109,8 @@ class Plan1D {
   }
 
  private:
-  // The one stage driver: every stage through dif_block<R, L>, polling
+  // The one stage driver: every stage through dif_block<R, L>, the
+  // radix-2/4/8 ones in the build stage_loop_build() names, polling
   // `cancel` between stages. L = 1 runs one interleaved array, L = kLanes
   // a lane-major block (see execute_lanes).
   template <std::size_t L>

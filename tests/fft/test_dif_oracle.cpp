@@ -15,12 +15,15 @@
 // its written-out complex multiply (xfft::cmul) and PlanND's in-place schedule
 // (full and partial blocks of 16 pencils or rows, tail rows, the digit
 // reversal folded into the write-back) to the paper's fused schedule bit for
-// bit. The suites are named after the paper's XMTC FFT program, of which the
-// reference is a serial transcription.
+// bit. The plans run once per build of the radix-2/4/8 stage loop that the
+// library has and the CPU supports (x86-64-v4, x86-64-v3, baseline), so
+// every build is pinned, not only the one the library picks. The suites are named after the paper's
+// XMTC FFT program, of which the reference is a serial transcription.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <span>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "xfft/fftnd.hpp"
 #include "xfft/permute.hpp"
 #include "xfft/plan1d.hpp"
+#include "xfft/stage_loop.hpp"
 #include "xfft/twiddle.hpp"
 
 namespace {
@@ -147,6 +151,17 @@ std::vector<std::complex<T>> reference_fftnd(std::vector<std::complex<T>> x,
   return x;
 }
 
+/// Runs `check` once under each build of the stage loop that can run here.
+template <typename F>
+void for_each_stage_loop_build(F check) {
+  for (const std::string_view build :
+       xfft::detail::supported_stage_loop_builds()) {
+    SCOPED_TRACE(build);
+    const xfft::detail::ScopedStageLoopBuild use(build);
+    check();
+  }
+}
+
 /// Float and double plans of every radix limit against the reference.
 template <typename T>
 void expect_plan_matches_reference(std::size_t n) {
@@ -171,8 +186,10 @@ void expect_plan_matches_reference(std::size_t n) {
 class XmtcFft1D : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(XmtcFft1D, MatchesPlanLibraryExactly) {
-  expect_plan_matches_reference<float>(GetParam());
-  expect_plan_matches_reference<double>(GetParam());
+  for_each_stage_loop_build([this] {
+    expect_plan_matches_reference<float>(GetParam());
+    expect_plan_matches_reference<double>(GetParam());
+  });
 }
 
 TEST_P(XmtcFft1D, InverseRoundTrips) {
@@ -186,10 +203,12 @@ TEST_P(XmtcFft1D, InverseRoundTrips) {
 }
 
 // 128 = 8*8*2 and 256 = 8*8*4 (the row length of the 256^3 benchmark) end
-// in a radix-2 or radix-4 stage; 4096 = 8^4.
+// in a radix-2 or radix-4 stage; 4096 = 8^4. 35 = 5*7, 243 = 3^5 and
+// 3000 = 8*3*5^3 run several odd stages, which a vector build of the stage
+// loop would get wrong (see xfft::cmul).
 INSTANTIATE_TEST_SUITE_P(Sizes, XmtcFft1D,
                          ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60,
-                                           128, 256, 4096));
+                                           128, 256, 4096, 35, 243, 3000));
 
 /// Float and double PlanND of every radix limit against the reference.
 template <typename T>
@@ -219,13 +238,27 @@ TEST(XmtcFftND, MatchesPlanNDOn3D) {
   // run pencils of 256, 128 (and 32) and 4096 points over a partial last
   // block. {24,6,5}, {20,9,24} and {18,24,9} give y and z pencils of 6, 5,
   // 9 and 24 points, whose odd factors go through dft_generic.
-  for (const Dims3 dims :
-       {Dims3{16, 8, 4}, Dims3{4, 4, 32}, Dims3{36, 20, 1}, Dims3{20, 256, 2},
-        Dims3{3, 128, 32}, Dims3{40, 4096, 1}, Dims3{24, 6, 5},
-        Dims3{20, 9, 24}, Dims3{18, 24, 9}}) {
-    expect_plannd_matches_reference<float>(dims);
-    expect_plannd_matches_reference<double>(dims);
+  for_each_stage_loop_build([] {
+    for (const Dims3 dims :
+         {Dims3{16, 8, 4}, Dims3{4, 4, 32}, Dims3{36, 20, 1},
+          Dims3{20, 256, 2}, Dims3{3, 128, 32}, Dims3{40, 4096, 1},
+          Dims3{24, 6, 5}, Dims3{20, 9, 24}, Dims3{18, 24, 9}}) {
+      expect_plannd_matches_reference<float>(dims);
+      expect_plannd_matches_reference<double>(dims);
+    }
+  });
+}
+
+TEST(StageLoopBuilds, WidestSupportedRunsUnlessOverridden) {
+  const auto builds = xfft::detail::supported_stage_loop_builds();
+  ASSERT_FALSE(builds.empty());
+  EXPECT_EQ(builds.back(), "baseline");
+  EXPECT_EQ(xfft::stage_loop_build(), builds.front());
+  {
+    const xfft::detail::ScopedStageLoopBuild use(builds.back());
+    EXPECT_EQ(xfft::stage_loop_build(), "baseline");
   }
+  EXPECT_EQ(xfft::stage_loop_build(), builds.front());
 }
 
 TEST(XmtcFftND, RoundTrip3D) {

@@ -13,7 +13,8 @@
 //       killed run from the newest good generation, producing bit-identical
 //       output to an uninterrupted run.
 //   xmtfft_cli fft --size 1024 [--inverse]
-//       Host FFT of a synthetic signal; prints a checksum and timing.
+//       Host FFT of a synthetic signal; prints timing, a checksum and the
+//       build of the stage loop that ran (x86-64-v4, x86-64-v3, baseline).
 //   xmtfft_cli faults --faults "cluster:kill:1,dram:chan:1,soft:flip:1e-4"
 //       Degraded-machine run: cycle-level (scaled config) or analytic
 //       (--config preset) timing under a fault plan, plus the host-side
@@ -43,6 +44,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "xcheck/corpus.hpp"
@@ -53,6 +55,7 @@
 #include "xfault/fault_plan.hpp"
 #include "xfault/resilient_fft.hpp"
 #include "xfft/fftnd.hpp"
+#include "xfft/plan1d.hpp"
 #include "xfft/plan_cache.hpp"
 #include "xpar/pool.hpp"
 #include "xroof/roofline.hpp"
@@ -331,10 +334,14 @@ int cmd_fft(const xutil::Flags& flags) {
   double checksum = 0.0;
   for (const auto& v : data) checksum += std::abs(v);
   const double secs = std::chrono::duration<double>(t1 - t0).count();
-  std::printf("%s FFT of %s: %.3f ms (%.2f GFLOPS 5NlogN), checksum %.6g\n",
-              dir == xfft::Direction::kForward ? "forward" : "inverse",
-              xutil::format_dims3(nx, ny, nz).c_str(), secs * 1e3,
-              xfft::standard_fft_flops(dims.total()) / secs / 1e9, checksum);
+  const std::string_view build = xfft::stage_loop_build();
+  std::printf(
+      "%s FFT of %s: %.3f ms (%.2f GFLOPS 5NlogN), checksum %.6g, "
+      "stage loop %.*s\n",
+      dir == xfft::Direction::kForward ? "forward" : "inverse",
+      xutil::format_dims3(nx, ny, nz).c_str(), secs * 1e3,
+      xfft::standard_fft_flops(dims.total()) / secs / 1e9, checksum,
+      static_cast<int>(build.size()), build.data());
   return 0;
 }
 
