@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "xfft/vector_builds.hpp"
 #include "xpar/pool.hpp"
 #include "xutil/aligned.hpp"
 #include "xutil/check.hpp"
@@ -34,31 +35,28 @@ bool exec_expired(const ExecOptions& exec) {
   return exec.cancel != nullptr && exec.cancel->expired();
 }
 
-/// Transforms per work block of every pass, one lane each of
-/// Plan1D::execute_lanes: 16 adjacent x positions of the y and z passes, or
-/// 16 consecutive rows of the x pass.
+/// Transforms per lane block, one lane each of Plan1D::execute_lanes: 16
+/// consecutive rows of the x pass, or 16 pencils of the y and z passes that
+/// start at adjacent x.
 constexpr std::size_t kBlockCols = kLanes;
 
-/// Runs `width` (<= kBlockCols) transforms of `plan` through the lane-major
-/// work block `re`/`im` (kBlockCols * plan.size() values each), where
-/// element k of transform c is base[k*ks + c*cs]. Copying in fills row k of
-/// the block; lanes past `width` transform zeros. The codelet leaves
-/// frequency k in row perm[k], so writing that row back to element k is the
-/// digit reversal.
+/// Work budget of one y or z item: as many adjacent lane blocks as fit, so
+/// that each step along the pencils copies one long contiguous run.
+constexpr std::size_t kItemBytes = std::size_t{256} << 10;
+
+/// Runs the kBlockCols rows of `len` points from `base` through the
+/// lane-major work block `re`/`im` (kBlockCols * len values each),
+/// transposing them into it. The codelet leaves frequency k in row perm[k],
+/// so writing that row back to element k is the digit reversal.
 template <typename T>
-void transform_block(const Plan1D<T>& plan, std::complex<T>* base,
-                     std::size_t ks, std::size_t cs, std::size_t width, T* re,
-                     T* im, const ExecOptions& exec) {
+void transform_row_block(const Plan1D<T>& plan, std::complex<T>* base, T* re,
+                         T* im, const ExecOptions& exec) {
   const std::size_t len = plan.size();
   for (std::size_t k = 0; k < len; ++k) {
-    T* const rk = re + k * kBlockCols;
-    T* const ik = im + k * kBlockCols;
-    for (std::size_t c = 0; c < width; ++c) {
-      rk[c] = base[k * ks + c * cs].real();
-      ik[c] = base[k * ks + c * cs].imag();
+    for (std::size_t c = 0; c < kBlockCols; ++c) {
+      re[k * kBlockCols + c] = base[k + c * len].real();
+      im[k * kBlockCols + c] = base[k + c * len].imag();
     }
-    std::fill(rk + width, rk + kBlockCols, T(0));
-    std::fill(ik + width, ik + kBlockCols, T(0));
   }
   plan.execute_lanes(re, im, exec.cancel);
   if (exec_expired(exec)) return;
@@ -66,8 +64,58 @@ void transform_block(const Plan1D<T>& plan, std::complex<T>* base,
   for (std::size_t k = 0; k < len; ++k) {
     const T* const rk = re + perm[k] * kBlockCols;
     const T* const ik = im + perm[k] * kBlockCols;
-    for (std::size_t c = 0; c < width; ++c) {
-      base[k * ks + c * cs] = {rk[c], ik[c]};
+    for (std::size_t c = 0; c < kBlockCols; ++c) {
+      base[k + c * len] = {rk[c], ik[c]};
+    }
+  }
+}
+
+/// Copies `width` pencils of `len` points, element k of pencil c at
+/// base[k*stride + c], into the lane blocks of `work`: block b holds pencils
+/// b*kBlockCols... as kBlockCols * len real parts, then as many imaginary
+/// parts. Step k reads one contiguous run of `width` values. Lanes past
+/// `width` get zeros.
+template <typename T>
+void gather_pencils(const std::complex<T>* base, std::size_t stride,
+                    std::size_t width, std::size_t len, T* work) {
+  const std::size_t block = 2 * kBlockCols * len;
+  for (std::size_t k = 0; k < len; ++k) {
+    const std::complex<T>* const src = base + k * stride;
+    T* re = work + k * kBlockCols;
+    std::size_t c = 0;
+    for (; c + kBlockCols <= width; c += kBlockCols, re += block) {
+      T* const im = re + kBlockCols * len;
+      for (std::size_t l = 0; l < kBlockCols; ++l) {
+        re[l] = src[c + l].real();
+        im[l] = src[c + l].imag();
+      }
+    }
+    if (c < width) {
+      T* const im = re + kBlockCols * len;
+      for (std::size_t l = 0; l < kBlockCols; ++l) {
+        re[l] = c + l < width ? src[c + l].real() : T(0);
+        im[l] = c + l < width ? src[c + l].imag() : T(0);
+      }
+    }
+  }
+}
+
+/// The inverse of gather_pencils after the stages: writes row perm[k] of
+/// every lane block, times `scale`, to step k of its pencils.
+template <typename T>
+void scatter_pencils(std::complex<T>* base, std::size_t stride,
+                     std::size_t width, std::size_t len, const T* work,
+                     const std::uint32_t* perm, T scale) {
+  const std::size_t block = 2 * kBlockCols * len;
+  for (std::size_t k = 0; k < len; ++k) {
+    std::complex<T>* const dst = base + k * stride;
+    const T* re = work + perm[k] * kBlockCols;
+    for (std::size_t c = 0; c < width; c += kBlockCols, re += block) {
+      const T* const im = re + kBlockCols * len;
+      const std::size_t w = std::min(kBlockCols, width - c);
+      for (std::size_t l = 0; l < w; ++l) {
+        dst[c + l] = {re[l] * scale, im[l] * scale};
+      }
     }
   }
 }
@@ -145,20 +193,6 @@ std::uint64_t PlanND<T>::actual_flops() const {
 }
 
 template <typename T>
-void PlanND<T>::apply_scaling(std::span<std::complex<T>> data,
-                              const ExecOptions& exec) const {
-  if (dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN) {
-    const T s = T(1) / static_cast<T>(dims_.total());
-    for_chunks(exec, 0, static_cast<std::int64_t>(data.size()), 0,
-               [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   data[static_cast<std::size_t>(i)] *= s;
-                 }
-               });
-  }
-}
-
-template <typename T>
 void PlanND<T>::execute(std::span<std::complex<T>> data) const {
   execute(data, ExecOptions{});
 }
@@ -170,21 +204,26 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
                "buffer length " << data.size() << " != " << dims_.total());
   const std::size_t nx = dims_.nx;
   const std::size_t ny = dims_.ny;
-  if (nx > 1) transform_rows(data, exec);
+  const std::size_t nz = dims_.nz;
+  // The last pass to run (z, else y, else x) multiplies by 1/N as it
+  // writes back, so a unitary inverse needs no scaling pass of its own.
+  const T scale =
+      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN
+          ? T(1) / static_cast<T>(dims_.total())
+          : T(1);
+  if (nx > 1) transform_rows(data, ny > 1 || nz > 1 ? T(1) : scale, exec);
   // y pencils run at stride nx inside each of the nz planes; z pencils run
   // at stride nx*ny from each of the ny rows of the first plane.
   if (ny > 1 && !exec_expired(exec)) {
-    transform_pencils(data, 1, nx, dims_.nz, nx * ny, exec);
+    transform_pencils(data, 1, nx, nz, nx * ny, nz > 1 ? T(1) : scale, exec);
   }
-  if (dims_.nz > 1 && !exec_expired(exec)) {
-    transform_pencils(data, 2, nx * ny, ny, nx, exec);
+  if (nz > 1 && !exec_expired(exec)) {
+    transform_pencils(data, 2, nx * ny, ny, nx, scale, exec);
   }
-  if (exec_expired(exec)) return;
-  apply_scaling(data, exec);
 }
 
 template <typename T>
-void PlanND<T>::transform_rows(std::span<std::complex<T>> data,
+void PlanND<T>::transform_rows(std::span<std::complex<T>> data, T scale,
                                const ExecOptions& exec) const {
   const Plan1D<T>& plan = axis_plan(0);
   const std::size_t len = dims_.nx;
@@ -192,7 +231,10 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data,
   // Work item b < blocks is the block of kBlockCols consecutive rows from
   // row b*kBlockCols, transposed into the work block in cache. The rows
   // past the last full block run one item each through execute(), so a
-  // 1-D transform does not pay for idle lanes.
+  // 1-D transform does not pay for idle lanes. These strided copies stay
+  // on the baseline build: an x86-64-v4 build of them did not make the x
+  // pass faster. The x pass runs last only at rank 1, whose one row is a
+  // tail row, so only tail rows take `scale`.
   const std::size_t blocks = rows / kBlockCols;
   for_chunks(
       exec, 0, static_cast<std::int64_t>(blocks + rows % kBlockCols), 0,
@@ -208,13 +250,16 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data,
              item < static_cast<std::size_t>(hi); ++item) {
           if (exec_expired(exec)) return;
           if (item < blocks) {
-            transform_block(plan, data.data() + item * kBlockCols * len, 1,
-                            len, kBlockCols, re, re + kBlockCols * len, exec);
+            transform_row_block(plan, data.data() + item * kBlockCols * len,
+                                re, re + kBlockCols * len, exec);
           } else {
-            const std::size_t row = blocks * kBlockCols + (item - blocks);
-            plan.execute(data.subspan(row * len, len),
-                         std::span<std::complex<T>>(work.data(), len),
+            const auto row = data.subspan(
+                (blocks * kBlockCols + (item - blocks)) * len, len);
+            plan.execute(row, std::span<std::complex<T>>(work.data(), len),
                          exec.cancel);
+            if (scale != T(1)) {
+              for (auto& v : row) v *= scale;
+            }
           }
         }
       });
@@ -223,29 +268,45 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data,
 template <typename T>
 void PlanND<T>::transform_pencils(std::span<std::complex<T>> data, int axis,
                                   std::size_t stride, std::size_t groups,
-                                  std::size_t group_stride,
+                                  std::size_t group_stride, T scale,
                                   const ExecOptions& exec) const {
   const Plan1D<T>& plan = axis_plan(axis);
   const std::size_t len = plan.size();
   const std::size_t nx = dims_.nx;
-  const std::size_t blocks = (nx + kBlockCols - 1) / kBlockCols;
-  // One work item is a block of up to kBlockCols pencils that start at
-  // adjacent x, so step k along the axis copies one contiguous run of the
-  // block into row k of the work block, with no transpose. Blocks are
-  // disjoint, so the pass needs no synchronization and no second full-size
-  // array.
+  // One work item is up to item_cols pencils that start at adjacent x: as
+  // many lane blocks as fit kItemBytes, at most one row of them. Step k
+  // along the axis copies one contiguous run of the item into row k of its
+  // lane blocks, with no transpose. Items are disjoint, so the pass needs
+  // no synchronization and no second full-size array.
+  const std::size_t lane_block = 2 * kBlockCols * len;
+  const std::size_t item_cols =
+      kBlockCols *
+      std::clamp<std::size_t>(kItemBytes / (lane_block * sizeof(T)), 1,
+                              (nx + kBlockCols - 1) / kBlockCols);
+  const std::size_t row_items = (nx + item_cols - 1) / item_cols;
+  // The copies have a build per vector width, as the stage loop does; the
+  // digit reversal and the scaling ride on the scatter.
+  const auto gather = detail::in_active_build<&gather_pencils<T>>();
+  const auto scatter = detail::in_active_build<&scatter_pencils<T>>();
   for_chunks(
-      exec, 0, static_cast<std::int64_t>(groups * blocks), 0,
+      exec, 0, static_cast<std::int64_t>(groups * row_items), 0,
       [&](std::int64_t lo, std::int64_t hi) {
-        xutil::AlignedVector<T> work(2 * kBlockCols * len);
-        T* const re = work.data();
+        xutil::AlignedVector<T> work(item_cols / kBlockCols * lane_block);
         for (auto item = static_cast<std::size_t>(lo);
              item < static_cast<std::size_t>(hi); ++item) {
           if (exec_expired(exec)) return;
-          const std::size_t x0 = item % blocks * kBlockCols;
-          transform_block(plan, data.data() + item / blocks * group_stride + x0,
-                          stride, 1, std::min(kBlockCols, nx - x0), re,
-                          re + kBlockCols * len, exec);
+          const std::size_t x0 = item % row_items * item_cols;
+          const std::size_t width = std::min(item_cols, nx - x0);
+          std::complex<T>* const base =
+              data.data() + item / row_items * group_stride + x0;
+          gather(base, stride, width, len, work.data());
+          for (std::size_t c = 0; c < width; c += kBlockCols) {
+            T* const re = work.data() + c / kBlockCols * lane_block;
+            plan.execute_lanes(re, re + kBlockCols * len, exec.cancel);
+          }
+          if (exec_expired(exec)) return;
+          scatter(base, stride, width, len, work.data(), plan.perm().data(),
+                  scale);
         }
       });
 }

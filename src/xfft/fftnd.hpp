@@ -9,16 +9,20 @@
 // computation to reduce the number of synchronization points and round
 // trips to memory."
 //
-// The host plan does not rotate. It transforms every axis in place, 16
-// transforms at a time through Plan1D::execute_lanes: the y and z passes
-// copy 16 pencils that start at adjacent x row by row into a lane-major
-// work block (one contiguous run per step, no transpose), the x pass
-// transposes 16 consecutive rows into one in cache, and the write-back
-// stores row perm[k] of the result at position k, which is the digit
-// reversal. Each transform sees the same values and the same arithmetic as
-// a row of the rotated array, so the output is bit-identical to the
-// paper's fused schedule, which xsim, the performance model and the
-// exactness oracle in tests/fft/test_dif_oracle.cpp keep.
+// The host plan does not rotate. It transforms every axis in place through
+// Plan1D::execute_lanes, 16 transforms per lane block. The y and z passes
+// copy the pencils that start at adjacent x row by row into lane-major
+// blocks, as many 16-pencil blocks per work item as fit 256 KiB (128
+// pencils of 256 points in float), so that each step along the pencils is
+// one long contiguous run; those unit-stride copies have the stage loop's
+// x86-64-v4/v3/baseline builds. The x pass transposes 16 consecutive rows
+// into one block in cache. The write-back stores row perm[k] of the result
+// at position k, which is the digit reversal, and the last pass's
+// write-back multiplies by an inverse's 1/N. Each transform sees the same
+// values and the same arithmetic as a row of the rotated array, so the
+// output is bit-identical to the paper's fused schedule, which xsim, the
+// performance model and the exactness oracle in
+// tests/fft/test_dif_oracle.cpp keep.
 #pragma once
 
 #include <array>
@@ -63,11 +67,11 @@ void rotate_axes(std::span<const std::complex<T>> src,
 /// PlanCache entry) at once, each on its own buffer.
 ///
 /// Execution is block-parallel on the xpar pool: the row blocks of the x
-/// pass, the pencil blocks of the y and z passes and the scaling pass are
-/// all chunked with xpar::parallel_for. Every block writes a disjoint
-/// region, so output is byte-identical at any pool size (including 1);
-/// callers pick the concurrency through
-/// xpar::ThreadPool::set_global_threads / --threads / XMTFFT_THREADS.
+/// pass and the pencil items of the y and z passes are chunked with
+/// xpar::parallel_for. Every item writes a disjoint region, so output is
+/// byte-identical at any pool size (including 1); callers pick the
+/// concurrency through xpar::ThreadPool::set_global_threads / --threads /
+/// XMTFFT_THREADS.
 template <typename T>
 class PlanND {
  public:
@@ -95,14 +99,12 @@ class PlanND {
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
-  void transform_rows(std::span<std::complex<T>> data,
+  void transform_rows(std::span<std::complex<T>> data, T scale,
                       const ExecOptions& exec) const;
   void transform_pencils(std::span<std::complex<T>> data, int axis,
                          std::size_t stride, std::size_t groups,
-                         std::size_t group_stride,
+                         std::size_t group_stride, T scale,
                          const ExecOptions& exec) const;
-  void apply_scaling(std::span<std::complex<T>> data,
-                     const ExecOptions& exec) const;
 
   Dims3 dims_;
   Direction dir_;

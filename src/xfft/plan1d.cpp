@@ -7,6 +7,7 @@
 
 #include "xfft/butterflies.hpp"
 #include "xfft/stage_loop.hpp"
+#include "xfft/vector_builds.hpp"
 #include "xutil/check.hpp"
 #include "xutil/units.hpp"
 
@@ -97,12 +98,7 @@ void dif_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
 }
 
 /// A stage of radix 2, 4 or 8 (`r`), the part of the stage loop that has a
-/// build per vector width.
-template <typename T>
-using Pow2Stage = void (*)(T* re, T* im, std::size_t n, std::size_t block,
-                           unsigned r, const std::complex<double>* row,
-                           bool inverse, const TwiddleTable<double>& tw);
-
+/// build per vector width (vector_builds.hpp).
 template <std::size_t L, typename T>
 void pow2_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
                 const std::complex<double>* row, bool inverse,
@@ -120,39 +116,8 @@ void pow2_stage(T* re, T* im, std::size_t n, std::size_t block, unsigned r,
   }
 }
 
-// The same source compiled for wider vectors: `flatten` inlines the whole
-// stage, down to the cores and cmul, into the target's code. Built with
-// -ffp-contract=off, and only in the configuration whose code has no FMA
-// instruction (XFFT_STAGE_LOOP_BUILDS, src/xfft/CMakeLists.txt), so every
-// build rounds exactly as the baseline one does. Odd radices stay on the
-// baseline build (see cmul in butterflies.hpp).
-#if defined(XFFT_STAGE_LOOP_BUILDS) && defined(__GNUC__) && \
-    !defined(__clang__) && defined(__x86_64__)
-template <std::size_t L, typename T>
-[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void pow2_stage_v4(
-    T* re, T* im, std::size_t n, std::size_t block, unsigned r,
-    const std::complex<double>* row, bool inverse,
-    const TwiddleTable<double>& tw) {
-  pow2_stage<L>(re, im, n, block, r, row, inverse, tw);
-}
-
-template <std::size_t L, typename T>
-[[gnu::target("arch=x86-64-v3"), gnu::flatten]] void pow2_stage_v3(
-    T* re, T* im, std::size_t n, std::size_t block, unsigned r,
-    const std::complex<double>* row, bool inverse,
-    const TwiddleTable<double>& tw) {
-  pow2_stage<L>(re, im, n, block, r, row, inverse, tw);
-}
-
-/// The builds, widest first; the last runs on any CPU.
-constexpr std::string_view kBuildNames[] = {"x86-64-v4", "x86-64-v3",
-                                            "baseline"};
-template <std::size_t L, typename T>
-constexpr Pow2Stage<T> kPow2Stages[] = {&pow2_stage_v4<L, T>,
-                                        &pow2_stage_v3<L, T>,
-                                        &pow2_stage<L, T>};
-
 bool build_supported(std::size_t b) {
+#ifdef XFFT_VECTOR_BUILDS
   __builtin_cpu_init();
   switch (b) {
     case 0:
@@ -162,19 +127,21 @@ bool build_supported(std::size_t b) {
     default:
       return true;
   }
-}
 #else
-constexpr std::string_view kBuildNames[] = {"baseline"};
-template <std::size_t L, typename T>
-constexpr Pow2Stage<T> kPow2Stages[] = {&pow2_stage<L, T>};
-
-bool build_supported(std::size_t) { return true; }
+  (void)b;
+  return true;
 #endif
+}
 
-constexpr std::size_t kBuilds = std::size(kBuildNames);
+}  // namespace
 
-/// Index into kBuildNames of the build every stage loop runs: the widest
-/// the CPU supports, chosen once (or the one a ScopedStageLoopBuild set).
+std::string_view stage_loop_build() {
+  return detail::kBuildNames[detail::active_build().load(
+      std::memory_order_relaxed)];
+}
+
+namespace detail {
+
 std::atomic<std::size_t>& active_build() {
   static std::atomic<std::size_t> build = [] {
     std::size_t b = 0;
@@ -183,14 +150,6 @@ std::atomic<std::size_t>& active_build() {
   }();
   return build;
 }
-
-}  // namespace
-
-std::string_view stage_loop_build() {
-  return kBuildNames[active_build().load(std::memory_order_relaxed)];
-}
-
-namespace detail {
 
 std::vector<std::string_view> supported_stage_loop_builds() {
   std::vector<std::string_view> names;
@@ -221,8 +180,8 @@ void Plan1D<T>::run_stages(T* re, T* im,
                            const xutil::CancelToken* cancel) const {
   if (n_ == 1) return;
   const bool inverse = dir_ == Direction::kInverse;
-  const Pow2Stage<T> pow2 =
-      kPow2Stages<L, T>[active_build().load(std::memory_order_relaxed)];
+  // Odd radices stay on the baseline build (see cmul in butterflies.hpp).
+  const auto pow2 = detail::in_active_build<&pow2_stage<L, T>>();
   const std::complex<double>* row = rows_.data();
   std::size_t block = n_;
   for (const unsigned r : radices_) {

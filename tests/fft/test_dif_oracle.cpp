@@ -13,12 +13,14 @@
 // dif_block codelet (one interleaved transform in Plan1D, 16 lane-major
 // transforms in PlanND's work blocks), its precomputed per-stage twiddle rows,
 // its written-out complex multiply (xfft::cmul) and PlanND's in-place schedule
-// (full and partial blocks of 16 pencils or rows, tail rows, the digit
-// reversal folded into the write-back) to the paper's fused schedule bit for
-// bit. The plans run once per build of the radix-2/4/8 stage loop that the
+// (full and partial blocks of 16 pencils or rows, work items of several
+// blocks, tail rows, the digit reversal and the inverse's 1/N folded into the
+// write-back) to the paper's fused schedule bit for bit. The plans run once
+// per build of the radix-2/4/8 stage loop and the pencil copies that the
 // library has and the CPU supports (x86-64-v4, x86-64-v3, baseline), so
-// every build is pinned, not only the one the library picks. The suites are named after the paper's
-// XMTC FFT program, of which the reference is a serial transcription.
+// every build is pinned, not only the one the library picks. The suites are
+// named after the paper's XMTC FFT program, of which the reference is a
+// serial transcription.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -233,17 +235,35 @@ void expect_plannd_matches_reference(Dims3 dims) {
 }
 
 TEST(XmtcFftND, MatchesPlanNDOn3D) {
-  // {16,8,4}: nx is exactly one pencil block; {4,4,32}: nx is smaller than
-  // a block; {36,20,1}: a 2-D case. {20,256,2}, {3,128,32} and {40,4096,1}
-  // run pencils of 256, 128 (and 32) and 4096 points over a partial last
-  // block. {24,6,5}, {20,9,24} and {18,24,9} give y and z pencils of 6, 5,
-  // 9 and 24 points, whose odd factors go through dft_generic.
+  // {16,8,4}: nx is exactly one lane block; {4,4,32}: nx is smaller than
+  // a block; {36,20,1}: a 2-D case; {1000,1,1}: a 1-D case, one tail row
+  // of the x pass. {20,256,2}, {3,128,32} and {40,4096,1} run pencils of
+  // 256, 128 (and 32) and 4096 points over a partial last block. {24,6,5},
+  // {20,9,24} and {18,24,9} give y and z pencils of 6, 5, 9 and 24 points,
+  // whose odd factors go through dft_generic.
+  //
+  // A y or z work item is as many lane blocks as fit 256 KiB: 128 pencils
+  // of 256 points or 32 of 1024 in float, half as many in double. So the
+  // per-precision shapes below split each row of pencils into a full item
+  // and one of several blocks that ends in a partial block (y: 168 = 128 +
+  // 40 and 104 = 64 + 40), or into a full item and a partial block (z: 40
+  // = 32 + 8), and 136x256 and 72x256 do so in a 2-D plan, whose y pass
+  // does the inverse's scaling.
   for_each_stage_loop_build([] {
     for (const Dims3 dims :
          {Dims3{16, 8, 4}, Dims3{4, 4, 32}, Dims3{36, 20, 1},
-          Dims3{20, 256, 2}, Dims3{3, 128, 32}, Dims3{40, 4096, 1},
-          Dims3{24, 6, 5}, Dims3{20, 9, 24}, Dims3{18, 24, 9}}) {
+          Dims3{1000, 1, 1}, Dims3{20, 256, 2}, Dims3{3, 128, 32},
+          Dims3{40, 4096, 1}, Dims3{24, 6, 5}, Dims3{20, 9, 24},
+          Dims3{18, 24, 9}}) {
       expect_plannd_matches_reference<float>(dims);
+      expect_plannd_matches_reference<double>(dims);
+    }
+    for (const Dims3 dims :
+         {Dims3{168, 256, 2}, Dims3{40, 1, 1024}, Dims3{136, 256, 1}}) {
+      expect_plannd_matches_reference<float>(dims);
+    }
+    for (const Dims3 dims :
+         {Dims3{104, 256, 2}, Dims3{40, 1, 512}, Dims3{72, 256, 1}}) {
       expect_plannd_matches_reference<double>(dims);
     }
   });

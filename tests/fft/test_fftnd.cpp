@@ -5,6 +5,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "test_helpers.hpp"
 #include "xfft/dft_reference.hpp"
@@ -206,6 +208,39 @@ TEST(PlanND, RepeatedFloatRoundTripsDoNotDrift) {
     ref2 += std::norm(Cd(original[i]));
   }
   EXPECT_LT(std::sqrt(err2 / ref2), 5e-6);
+}
+
+/// A unitary inverse multiplies by 1/N as its last pass writes back; that
+/// must round exactly as an unscaled inverse followed by x *= 1/N.
+template <typename T>
+void expect_scaling_fold_exact(Dims3 dims, const xfft::ExecOptions& exec) {
+  const auto signal = random_signal(dims.total(), 31);
+  std::vector<std::complex<T>> got(signal.begin(), signal.end());
+  auto want = got;
+  PlanND<T>(dims, Direction::kInverse, {.scaling = Scaling::kUnitary1OverN})
+      .execute(std::span<std::complex<T>>(got), exec);
+  PlanND<T>(dims, Direction::kInverse, {.scaling = Scaling::kNone})
+      .execute(std::span<std::complex<T>>(want), exec);
+  const T s = T(1) / static_cast<T>(dims.total());
+  for (auto& v : want) v *= s;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(want[0])),
+            0)
+      << dims.nx << "x" << dims.ny << "x" << dims.nz
+      << " double=" << std::is_same_v<T, double> << " serial=" << exec.serial;
+}
+
+TEST(PlanND, UnitaryInverseScalesExactlyInItsLastPass) {
+  // The last pass is x (rank 1), y (136x256, wide work items) or z; 1x24x40
+  // has no x pass.
+  xfft::ExecOptions serial;
+  serial.serial = true;
+  for (const xfft::ExecOptions& exec : {xfft::ExecOptions{}, serial}) {
+    for (const Dims3 dims : {Dims3{1000, 1, 1}, Dims3{136, 256, 1},
+                             Dims3{136, 3, 256}, Dims3{1, 24, 40}}) {
+      expect_scaling_fold_exact<float>(dims, exec);
+      expect_scaling_fold_exact<double>(dims, exec);
+    }
+  }
 }
 
 TEST(PlanND, RejectsWrongBufferLength) {

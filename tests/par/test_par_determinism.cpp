@@ -38,8 +38,11 @@ class GlobalPoolSweep : public ::testing::Test {
 TEST_F(GlobalPoolSweep, FftNdBytesIdenticalAt1_2_8Threads) {
   // {40,24,18}: the last pencil block holds 8 of 16 lanes, and the 24- and
   // 18-point axes run radix-3 stages through the generic core.
+  // {136,256,4}: each row of 256-point y pencils splits into work items of
+  // 128 and 8 pencils.
   for (const xfft::Dims3 dims :
-       {xfft::Dims3{32, 16, 8}, xfft::Dims3{40, 24, 18}}) {
+       {xfft::Dims3{32, 16, 8}, xfft::Dims3{40, 24, 18},
+        xfft::Dims3{136, 256, 4}}) {
     const auto input = random_signal(dims.total(), 7);
     const xfft::PlanND<float> plan(dims, xfft::Direction::kForward);
     std::vector<std::vector<xfft::Cf>> outs;
