@@ -26,10 +26,6 @@ struct ResilienceOptions {
   std::uint64_t seed = 1;
   /// Compute attempts per row: 1 initial + (max_attempts - 1) recoveries.
   unsigned max_attempts_per_row = 4;
-  /// Relative tolerance of the Parseval checksum (float FFT rounding noise
-  /// is ~1e-6; an exponent-bit upset shifts row energy by orders of
-  /// magnitude).
-  double checksum_rel_tolerance = 1e-3;
   unsigned max_radix = 8;
 };
 

@@ -1,24 +1,14 @@
 #include "xpar/pool.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
-#include <string>
-#include <utility>
-#include <vector>
+#include <exception>
+#include <memory>
 
 namespace xpar {
 
 namespace {
-
-/// Identifies the worker lane of the current thread, so parallel_for can
-/// tell "called from inside this pool" (split onto own deque) from "called
-/// from outside" (inject and help by stealing).
-struct LaneTag {
-  ThreadPool* pool = nullptr;
-  int index = -1;
-};
-thread_local LaneTag tl_lane;
 
 std::mutex g_global_mu;
 std::unique_ptr<ThreadPool>& global_slot() {
@@ -28,43 +18,59 @@ std::unique_ptr<ThreadPool>& global_slot() {
 
 }  // namespace
 
-/// A parallel_for invocation in flight. Lives on the caller's stack; tasks
-/// hold a pointer. `pending` counts iterations not yet executed — it hits
-/// zero exactly once, after every body call returned, at which point the
-/// finisher sets `done` under the mutex and wakes the owner.
+/// A parallel_for invocation in flight. Lives on the caller's stack. Once
+/// every chunk is claimed the caller takes it out of open_ and waits until
+/// `helpers` is zero, so no worker touches it after the call returns.
 struct ThreadPool::Job {
-  const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
-  std::int64_t grain = 1;
-  std::atomic<std::int64_t> pending{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;  // first body exception, guarded by mu
+  /// One lane's contiguous run of chunk indices [next, end). Padded so that
+  /// claims on different blocks do not share a cache line.
+  struct alignas(64) Block {
+    std::atomic<std::int64_t> next{0};
+    std::int64_t end = 0;
+  };
+
+  Job(const std::function<void(std::int64_t, std::int64_t)>& fn,
+      std::int64_t b, std::int64_t e, std::int64_t g, unsigned lanes)
+      : body(fn), begin(b), end(e), grain(g) {
+    const std::int64_t chunks = (e - b - 1) / g + 1;
+    const std::int64_t nb = std::min<std::int64_t>(lanes, chunks);
+    const std::int64_t q = chunks / nb;
+    const std::int64_t r = chunks % nb;
+    blocks = std::vector<Block>(static_cast<std::size_t>(nb));
+    for (std::int64_t i = 0; i < nb; ++i) {
+      Block& blk = blocks[static_cast<std::size_t>(i)];
+      blk.next.store(i * q + std::min(i, r), std::memory_order_relaxed);
+      blk.end = (i + 1) * q + std::min(i + 1, r);
+    }
+  }
+
+  const std::function<void(std::int64_t, std::int64_t)>& body;
+  const std::int64_t begin;
+  const std::int64_t end;
+  const std::int64_t grain;
+  std::vector<Block> blocks;
+  // Guarded by the pool's mu_:
+  std::size_t joined = 1;  // threads that took a home block; the caller first
+  unsigned helpers = 0;    // workers inside run_chunks
+  std::condition_variable left;  // signalled when helpers drops to zero
+  std::exception_ptr error;      // first body exception
 };
 
 ThreadPool::ThreadPool(unsigned threads)
     : lanes_(threads == 0 ? default_thread_count() : std::max(threads, 1u)) {
-  const unsigned workers = lanes_ - 1;
-  deques_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    deques_.push_back(std::make_unique<WsDeque<Task>>());
-  }
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+  workers_.reserve(lanes_ - 1);
+  for (unsigned i = 1; i < lanes_; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-    sleep_cv_.notify_all();
+    const std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
   }
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  // No jobs may be in flight at destruction; drain stray injected tasks
-  // defensively (they would only exist if that contract were violated).
-  for (Task* t : inject_) delete t;
 }
 
 unsigned ThreadPool::default_thread_count() {
@@ -76,7 +82,7 @@ unsigned ThreadPool::default_thread_count() {
 }
 
 ThreadPool& ThreadPool::global() {
-  std::lock_guard<std::mutex> lk(g_global_mu);
+  const std::lock_guard<std::mutex> lk(g_global_mu);
   auto& slot = global_slot();
   if (!slot) slot = std::make_unique<ThreadPool>(0);
   return *slot;
@@ -84,7 +90,7 @@ ThreadPool& ThreadPool::global() {
 
 void ThreadPool::set_global_threads(unsigned threads) {
   const unsigned want = threads == 0 ? default_thread_count() : threads;
-  std::lock_guard<std::mutex> lk(g_global_mu);
+  const std::lock_guard<std::mutex> lk(g_global_mu);
   auto& slot = global_slot();
   if (slot && slot->threads() == want) return;
   slot.reset();  // joins the old workers first
@@ -92,93 +98,41 @@ void ThreadPool::set_global_threads(unsigned threads) {
 }
 
 std::int64_t ThreadPool::auto_grain(std::int64_t n) const {
-  // ~8 chunks per lane: enough slack for stealing to balance, coarse
-  // enough that split overhead stays invisible.
+  // ~8 chunks per lane: enough slack for helpers to balance uneven chunks,
+  // coarse enough that claim overhead stays invisible.
   return std::max<std::int64_t>(1, n / (static_cast<std::int64_t>(lanes_) * 8));
 }
 
-void ThreadPool::inject(Task* task) {
-  {
-    std::lock_guard<std::mutex> lk(inject_mu_);
-    inject_.push_back(task);
-  }
-  std::lock_guard<std::mutex> lk(sleep_mu_);
-  sleep_cv_.notify_all();
-}
-
-ThreadPool::Task* ThreadPool::try_acquire(int self) {
-  if (self >= 0) {
-    if (Task* t = deques_[static_cast<std::size_t>(self)]->pop()) return t;
-  }
-  {
-    std::lock_guard<std::mutex> lk(inject_mu_);
-    if (!inject_.empty()) {
-      Task* t = inject_.front();
-      inject_.pop_front();
-      return t;
+void ThreadPool::run_chunks(Job& job, std::size_t home) {
+  const std::size_t nb = job.blocks.size();
+  for (std::size_t k = 0; k < nb; ++k) {
+    Job::Block& blk = job.blocks[(home + k) % nb];
+    for (std::int64_t c = blk.next.fetch_add(1, std::memory_order_relaxed);
+         c < blk.end; c = blk.next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::int64_t lo = job.begin + c * job.grain;
+      try {
+        job.body(lo, std::min(job.end, lo + job.grain));
+      } catch (...) {
+        const std::lock_guard<std::mutex> lk(mu_);
+        if (!job.error) job.error = std::current_exception();
+      }
     }
   }
-  // Steal sweep over the other workers' deques. Starting offset rotates
-  // with the lane index so thieves do not convoy on victim 0.
-  const std::size_t n = deques_.size();
-  const std::size_t start = self >= 0 ? static_cast<std::size_t>(self) + 1 : 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (self >= 0 && victim == static_cast<std::size_t>(self)) continue;
-    if (Task* t = deques_[victim]->steal()) return t;
-  }
-  return nullptr;
 }
 
-bool ThreadPool::run_one(int self) {
-  Task* t = try_acquire(self);
-  if (t == nullptr) return false;
-  run_task(t, self);
-  return true;
-}
-
-void ThreadPool::run_task(Task* task, int self) {
-  Job* const job = task->job;
-  std::int64_t b = task->begin;
-  std::int64_t e = task->end;
-  delete task;
-  // Recursive halving: keep the near half, expose the far half to thieves.
-  // Split points depend only on (b, e, grain), never on timing, which is
-  // half of the pool's determinism contract (pool.hpp).
-  while (e - b > job->grain) {
-    const std::int64_t mid = b + (e - b) / 2;
-    auto* right = new Task{job, mid, e};
-    if (self >= 0) {
-      deques_[static_cast<std::size_t>(self)]->push(right);
-      sleep_cv_.notify_one();  // lossy hint; sleepers re-poll on timeout
-    } else {
-      inject(right);
-    }
-    e = mid;
-  }
-  try {
-    (*job->body)(b, e);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(job->mu);
-    if (!job->error) job->error = std::current_exception();
-  }
-  const std::int64_t n = e - b;
-  if (job->pending.fetch_sub(n, std::memory_order_acq_rel) == n) {
-    std::lock_guard<std::mutex> lk(job->mu);
-    job->done = true;
-    job->cv.notify_all();
-  }
-}
-
-void ThreadPool::worker_main(unsigned self) {
-  tl_lane = LaneTag{this, static_cast<int>(self)};
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (run_one(static_cast<int>(self))) continue;
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    // Timed nap instead of a precise wakeup protocol: pushes onto peer
-    // deques are signaled lossily, so sleepers re-poll for steals on a
-    // short timeout. Bounded idle latency, zero hot-path bookkeeping.
-    sleep_cv_.wait_for(lk, std::chrono::microseconds(500));
+void ThreadPool::worker_main() {
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    work_cv_.wait(lk, [&] { return stop_ || !open_.empty(); });
+    if (stop_) return;
+    Job& job = *open_.front();
+    const std::size_t home = job.joined++;
+    ++job.helpers;
+    lk.unlock();
+    run_chunks(job, home);
+    lk.lock();
+    std::erase(open_, &job);  // every chunk of it is claimed by now
+    if (--job.helpers == 0) job.left.notify_one();
   }
 }
 
@@ -192,58 +146,17 @@ void ThreadPool::parallel_for(
     body(begin, end);
     return;
   }
-  if (workers_.empty()) {
-    // Size-1 pool: no tasks, but the body must observe the exact chunk
-    // boundaries (and first-exception-after-all-chunks semantics) of the
-    // threaded path — the determinism contract covers the chunking itself,
-    // not just the union of indices. A LIFO stack replays the halving
-    // split in owner execution order.
-    std::exception_ptr error;
-    std::vector<std::pair<std::int64_t, std::int64_t>> stack;
-    stack.emplace_back(begin, end);
-    while (!stack.empty()) {
-      auto [b, e] = stack.back();
-      stack.pop_back();
-      while (e - b > g) {
-        const std::int64_t mid = b + (e - b) / 2;
-        stack.emplace_back(mid, e);
-        e = mid;
-      }
-      try {
-        body(b, e);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  Job job;
-  job.body = &body;
-  job.grain = g;
-  job.pending.store(n, std::memory_order_relaxed);
-
-  const int self =
-      tl_lane.pool == this ? tl_lane.index : -1;
-  auto* root = new Task{&job, begin, end};
-  // From a worker lane (nested parallelism) the root splits straight onto
-  // the worker's own deque; from outside it goes through the inject queue.
-  run_task(root, self);
-
-  // Help until the job drains: execute whatever is available (including
-  // other jobs' tasks — all tasks terminate, so this cannot deadlock).
-  while (job.pending.load(std::memory_order_acquire) > 0) {
-    if (!run_one(self)) {
-      std::unique_lock<std::mutex> lk(job.mu);
-      job.cv.wait_for(lk, std::chrono::microseconds(200),
-                      [&] { return job.done; });
-    }
-  }
+  Job job(body, begin, end, g, lanes_);
   {
-    // The finisher sets `done` under job.mu; taking the lock once more
-    // guarantees it has released it before the Job leaves scope.
-    std::unique_lock<std::mutex> lk(job.mu);
-    job.cv.wait(lk, [&] { return job.done; });
+    const std::lock_guard<std::mutex> lk(mu_);
+    open_.push_back(&job);
+  }
+  work_cv_.notify_all();
+  run_chunks(job, 0);
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    std::erase(open_, &job);
+    job.left.wait(lk, [&] { return job.helpers == 0; });
   }
   if (job.error) std::rethrow_exception(job.error);
 }

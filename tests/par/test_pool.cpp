@@ -1,11 +1,13 @@
-// xpar backbone tests: Chase–Lev deque invariants, exact parallel_for
-// coverage, the chunk-boundary determinism contract, nesting, reductions,
-// and exception propagation (including the simulator's typed watchdog
-// error). This file carries the `par` ctest label and is expected to run
-// clean under -DXMTFFT_SANITIZE=thread.
+// xpar backbone tests: exact parallel_for coverage, the chunk-boundary
+// determinism contract, nesting, concurrent callers, and exception
+// propagation (including the simulator's typed watchdog error). This file
+// carries the `par` ctest label and is expected to run clean under
+// -DXMTFFT_SANITIZE=thread.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -15,84 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "xpar/deque.hpp"
 #include "xpar/pool.hpp"
 #include "xsim/fft_traffic.hpp"
 #include "xsim/machine.hpp"
 
 namespace {
-
-TEST(WsDeque, OwnerPushPopIsLifo) {
-  xpar::WsDeque<int> d;
-  int items[3] = {10, 20, 30};
-  for (int& it : items) d.push(&it);
-  EXPECT_EQ(d.size_approx(), 3u);
-  EXPECT_EQ(d.pop(), &items[2]);
-  EXPECT_EQ(d.pop(), &items[1]);
-  EXPECT_EQ(d.pop(), &items[0]);
-  EXPECT_EQ(d.pop(), nullptr);
-}
-
-TEST(WsDeque, StealTakesOldestFirst) {
-  xpar::WsDeque<int> d;
-  int items[3] = {1, 2, 3};
-  for (int& it : items) d.push(&it);
-  EXPECT_EQ(d.steal(), &items[0]);
-  EXPECT_EQ(d.steal(), &items[1]);
-  // Owner and thief meet in the middle on the last element.
-  EXPECT_EQ(d.pop(), &items[2]);
-  EXPECT_EQ(d.steal(), nullptr);
-}
-
-TEST(WsDeque, GrowsPastInitialCapacity) {
-  xpar::WsDeque<int> d(/*capacity=*/4);
-  std::vector<int> items(1000);
-  for (int& it : items) d.push(&it);
-  EXPECT_EQ(d.size_approx(), items.size());
-  // FIFO from the top across the grown ring.
-  for (int& it : items) EXPECT_EQ(d.steal(), &it);
-  EXPECT_EQ(d.steal(), nullptr);
-}
-
-TEST(WsDeque, ConcurrentStealersGetEveryItemOnce) {
-  xpar::WsDeque<int> d;
-  constexpr int kItems = 10000;
-  std::vector<int> items(kItems);
-  for (int i = 0; i < kItems; ++i) items[static_cast<std::size_t>(i)] = i;
-  std::atomic<int> taken{0};
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) s.store(0);
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      while (taken.load() < kItems) {
-        if (int* p = d.steal()) {
-          seen[static_cast<std::size_t>(*p)].fetch_add(1);
-          taken.fetch_add(1);
-        }
-      }
-    });
-  }
-  // Owner interleaves pushes and occasional pops.
-  for (int i = 0; i < kItems; ++i) {
-    d.push(&items[static_cast<std::size_t>(i)]);
-    if (i % 7 == 0) {
-      if (int* p = d.pop()) {
-        seen[static_cast<std::size_t>(*p)].fetch_add(1);
-        taken.fetch_add(1);
-      }
-    }
-  }
-  while (taken.load() < kItems) {
-    if (int* p = d.pop()) {
-      seen[static_cast<std::size_t>(*p)].fetch_add(1);
-      taken.fetch_add(1);
-    }
-  }
-  for (auto& t : thieves) t.join();
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 8u}) {
@@ -115,21 +44,26 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, ChunkBoundariesIndependentOfThreadCount) {
-  // The determinism contract: (range, grain) fully determines the set of
-  // chunks a body observes, regardless of pool size or timing.
-  const auto chunks_at = [](unsigned threads) {
+  // The determinism contract: (range, grain) fully determines the chunk
+  // list a body observes, regardless of pool size or timing.
+  std::set<std::pair<std::int64_t, std::int64_t>> want;
+  for (std::int64_t lo = 3; lo < 5000; lo += 37) {
+    want.emplace(lo, std::min<std::int64_t>(5000, lo + 37));
+  }
+  ASSERT_EQ(want.size(), 136u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
     xpar::ThreadPool pool(threads);
     std::mutex mu;
     std::set<std::pair<std::int64_t, std::int64_t>> chunks;
+    std::size_t calls = 0;
     pool.parallel_for(3, 5000, 37, [&](std::int64_t lo, std::int64_t hi) {
       const std::lock_guard<std::mutex> lk(mu);
       chunks.emplace(lo, hi);
+      ++calls;
     });
-    return chunks;
-  };
-  const auto one = chunks_at(1);
-  EXPECT_EQ(one, chunks_at(2));
-  EXPECT_EQ(one, chunks_at(8));
+    EXPECT_EQ(chunks, want) << threads << " threads";
+    EXPECT_EQ(calls, want.size()) << threads << " threads";
+  }
 }
 
 TEST(ThreadPool, NestedParallelForWorks) {
@@ -152,39 +86,64 @@ TEST(ThreadPool, NestedParallelForWorks) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelReduceIsBitStableAcrossThreadCounts) {
-  // Awkward summands so the result depends on association order; the fixed
-  // chunking plus serial combine must make every pool agree bitwise.
-  const auto sum_at = [](unsigned threads) {
-    xpar::ThreadPool pool(threads);
-    return pool.parallel_reduce(
-        0, 100000, 0, 0.0,
-        [](std::int64_t lo, std::int64_t hi) {
-          double s = 0.0;
-          for (std::int64_t i = lo; i < hi; ++i) {
-            s += 1.0 / (1.0 + static_cast<double>(i) * 1e-3);
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double one = sum_at(1);
-  EXPECT_EQ(one, sum_at(2));
-  EXPECT_EQ(one, sum_at(8));
-}
-
-TEST(ThreadPool, ParallelReduceExactOnIntegers) {
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  // Four outside threads issue jobs on one pool at once: caller 0 nests a
+  // call in every chunk, caller 1 has a body that throws. Every job still
+  // runs each of its indices exactly once, and only caller 1 sees an
+  // exception.
+  constexpr int kCallers = 4;
+  constexpr std::int64_t kOuter = 64;
+  constexpr std::int64_t kInner = 32;
+  constexpr std::int64_t kN = kOuter * kInner;
   xpar::ThreadPool pool(4);
-  constexpr std::int64_t n = 12345;
-  const std::int64_t sum = pool.parallel_reduce(
-      0, n, 100, std::int64_t{0},
-      [](std::int64_t lo, std::int64_t hi) {
-        std::int64_t s = 0;
-        for (std::int64_t i = lo; i < hi; ++i) s += i;
-        return s;
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  EXPECT_EQ(sum, n * (n - 1) / 2);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(kCallers * kN);
+    for (auto& h : hits) h.store(0);
+    std::array<bool, kCallers> threw{};
+    std::latch start(kCallers);
+    std::vector<std::thread> callers;
+    for (int k = 0; k < kCallers; ++k) {
+      callers.emplace_back([&, k] {
+        std::atomic<int>* const mine = hits.data() + k * kN;
+        const auto mark = [mine](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i) mine[i].fetch_add(1);
+        };
+        start.arrive_and_wait();
+        try {
+          if (k == 0) {
+            pool.parallel_for(0, kOuter, 1, [&](std::int64_t lo,
+                                                std::int64_t hi) {
+              for (std::int64_t o = lo; o < hi; ++o) {
+                pool.parallel_for(o * kInner, (o + 1) * kInner, 4, mark);
+              }
+            });
+          } else {
+            pool.parallel_for(0, kN, 0, [&](std::int64_t lo,
+                                            std::int64_t hi) {
+              mark(lo, hi);
+              if (k == 1 && lo <= kN / 2 && kN / 2 < hi) {
+                throw std::runtime_error("caller 1");
+              }
+            });
+          }
+        } catch (const std::runtime_error&) {
+          threw[static_cast<std::size_t>(k)] = true;
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (int k = 0; k < kCallers; ++k) {
+      const auto first = hits.begin() + k * kN;
+      EXPECT_EQ(std::count_if(first, first + kN,
+                              [](const std::atomic<int>& h) {
+                                return h.load() != 1;
+                              }),
+                0)
+          << "caller " << k << ", round " << round;
+    }
+    EXPECT_EQ(threw, (std::array<bool, kCallers>{false, true, false, false}))
+        << "round " << round;
+  }
 }
 
 TEST(ThreadPool, BodyExceptionIsRethrownAfterJoin) {
