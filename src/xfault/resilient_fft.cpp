@@ -1,13 +1,11 @@
 #include "xfault/resilient_fft.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <vector>
 
-#include "xfft/fftnd.hpp"
-#include "xfft/plan1d.hpp"
+#include "xfft/plan_cache.hpp"
 #include "xutil/check.hpp"
 #include "xutil/rng.hpp"
 
@@ -50,8 +48,7 @@ std::uint64_t inject_soft_errors(std::span<xfft::Cf> row, double rate,
   return flips;
 }
 
-}  // namespace
-
+/// Sum of |v|^2 over `data`, accumulated in double (the checksum primitive).
 double parseval_energy(std::span<const xfft::Cf> data) {
   double e = 0.0;
   for (const auto& v : data) {
@@ -61,86 +58,121 @@ double parseval_energy(std::span<const xfft::Cf> data) {
   return e;
 }
 
-ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
-                               xfft::Direction dir,
-                               const ResilienceOptions& opt) {
-  XU_CHECK_MSG(data.size() == dims.total(),
-               "buffer length " << data.size() << " != " << dims.total());
-  XU_CHECK_MSG(opt.max_attempts_per_row >= 1,
-               "need at least one compute attempt per row");
-  ResilienceReport rep;
+/// Checks each row PlanND<float> transforms, inside its passes. A row's
+/// stream id is `row * max_attempts_per_row + attempt`, where `row` counts
+/// the rows of the paper's row-FFT + rotation schedule in pass order: x row
+/// y + z*ny, then y row z + x*nz, then z row x + y*nx (an axis of length 1
+/// has no pass). So neither the flips nor the report depend on which thread
+/// checks which row.
+class SoftErrorChecker final : public xfft::detail::PassChecker<float> {
+ public:
+  SoftErrorChecker(const xfft::PlanND<float>& plan, std::span<xfft::Cf> data,
+                   const ResilienceOptions& opt,
+                   const xutil::CancelToken* cancel)
+      : plan_(plan), data_(data), opt_(opt), cancel_(cancel) {}
 
-  // One plan per distinct axis length, unscaled (the final inverse scaling
-  // is applied once at the end, as PlanND does).
-  std::vector<std::unique_ptr<xfft::Plan1D<float>>> plans;
-  const auto plan_for = [&](std::size_t len) -> const xfft::Plan1D<float>& {
-    for (const auto& p : plans) {
-      if (p->size() == len) return *p;
-    }
-    plans.push_back(std::make_unique<xfft::Plan1D<float>>(
-        len, dir,
-        xfft::PlanOptions{.max_radix = opt.max_radix,
-                          .scaling = xfft::Scaling::kNone}));
-    return *plans.back();
-  };
-
-  const std::size_t n = dims.total();
-  std::vector<xfft::Cf> scratch(n);
-  std::vector<xfft::Cf> backup;
-  xfft::Cf* src = data.data();
-  xfft::Cf* dst = scratch.data();
-  xfft::Dims3 cur = dims;
-  const std::size_t axis_len[3] = {dims.nx, dims.ny, dims.nz};
-  std::uint64_t row_counter = 0;
-
-  for (int pass = 0; pass < 3; ++pass) {
-    if (axis_len[pass] > 1) {
-      const xfft::Plan1D<float>& plan = plan_for(cur.nx);
-      const std::size_t rows = n / cur.nx;
-      backup.resize(cur.nx);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::span<xfft::Cf> row(src + r * cur.nx, cur.nx);
-        std::copy(row.begin(), row.end(), backup.begin());
-        const double e_in = parseval_energy(row);
-        const double expected = e_in * static_cast<double>(cur.nx);
-        ++rep.rows_computed;
-        bool verified = false;
-        for (unsigned attempt = 0; attempt < opt.max_attempts_per_row;
-             ++attempt) {
-          if (attempt > 0) {
-            std::copy(backup.begin(), backup.end(), row.begin());
-            ++rep.rows_recomputed;
-          }
-          plan.execute(row);
-          rep.flips_injected += inject_soft_errors(
-              row, opt.soft_flip_rate, opt.seed,
-              row_counter * opt.max_attempts_per_row + attempt);
-          const double e_out = parseval_energy(row);
-          const double err = std::abs(e_out - expected);
-          if (std::isfinite(e_out) &&
-              err <= kChecksumRelTolerance *
-                         std::max(expected, 1e-30)) {
-            verified = true;
-            break;
-          }
-          ++rep.errors_detected;
-        }
-        if (!verified) ++rep.retries_exhausted;
-        ++row_counter;
+  void check_lanes(int axis, std::size_t first, std::size_t width,
+                   float* work, xfft::Cf* scratch) override {
+    const xfft::Plan1D<float>& plan = plan_.axis_plan(axis);
+    const std::size_t len = plan.size();
+    const std::uint32_t* const perm = plan.perm().data();
+    ResilienceReport t;
+    for (std::size_t c = 0; c < width; ++c) {
+      float* const re =
+          work + c / xfft::kLanes * 2 * xfft::kLanes * len + c % xfft::kLanes;
+      float* const im = re + xfft::kLanes * len;
+      for (std::size_t k = 0; k < len; ++k) {
+        scratch[k] = {re[perm[k] * xfft::kLanes], im[perm[k] * xfft::kLanes]};
+      }
+      check(axis, first + c * (axis == 0 ? len : 1), scratch, true, t);
+      for (std::size_t k = 0; k < len; ++k) {
+        re[perm[k] * xfft::kLanes] = scratch[k].real();
+        im[perm[k] * xfft::kLanes] = scratch[k].imag();
       }
     }
-    xfft::rotate_axes(std::span<const xfft::Cf>(src, n),
-                      std::span<xfft::Cf>(dst, n), cur);
-    std::swap(src, dst);
-    cur = xfft::Dims3{cur.ny, cur.nz, cur.nx};
+    add(t);
   }
-  if (src != data.data()) std::copy(src, src + n, data.data());
 
-  if (dir == xfft::Direction::kInverse) {
-    const float s = 1.0f / static_cast<float>(n);
-    for (auto& v : data) v *= s;
+  void check_row(std::size_t first, xfft::Cf* scratch) override {
+    ResilienceReport t;
+    check(0, first, scratch, false, t);
+    std::copy_n(scratch, plan_.dims().nx, data_.data() + first);
+    add(t);
   }
-  return rep;
+
+  [[nodiscard]] ResilienceReport report() const {
+    return {n_[0], n_[1], n_[2], n_[3], n_[4]};
+  }
+
+ private:
+  /// Checks the row along `axis` from offset `first` of the data buffer,
+  /// whose transform is in scratch[0, len) if `computed`. A rerun re-reads
+  /// the input, which the write-back has not yet overwritten, and runs it
+  /// through execute(); scratch holds 3 * len values.
+  void check(int axis, std::size_t first, xfft::Cf* scratch, bool computed,
+             ResilienceReport& t) const {
+    const xfft::Dims3 d = plan_.dims();
+    const xfft::Plan1D<float>& plan = plan_.axis_plan(axis);
+    const std::size_t len = plan.size();
+    const std::span<xfft::Cf> row(scratch, len);
+    const std::span<xfft::Cf> input(scratch + len, len);
+    const std::size_t step = axis == 0 ? 1 : axis == 1 ? d.nx : d.nx * d.ny;
+    for (std::size_t k = 0; k < len; ++k) input[k] = data_[first + k * step];
+    const double expected = parseval_energy(input) * static_cast<double>(len);
+    const std::uint64_t x_rows = d.nx > 1 ? d.ny * d.nz : 0;
+    const std::uint64_t id =
+        axis == 0   ? first / d.nx
+        : axis == 1 ? x_rows + first / (d.nx * d.ny) + first % d.nx * d.nz
+                    : x_rows + (d.ny > 1 ? d.nx * d.nz : 0) + first;
+    ++t.rows_computed;
+    for (unsigned attempt = 0; attempt < opt_.max_attempts_per_row;
+         ++attempt) {
+      if (attempt > 0 || !computed) {
+        std::copy(input.begin(), input.end(), row.begin());
+        plan.execute(row, {scratch + 2 * len, len}, cancel_);
+        if (attempt > 0) ++t.rows_recomputed;
+      }
+      t.flips_injected += inject_soft_errors(
+          row, opt_.soft_flip_rate, opt_.seed,
+          id * opt_.max_attempts_per_row + attempt);
+      const double e_out = parseval_energy(row);
+      if (std::isfinite(e_out) &&
+          std::abs(e_out - expected) <=
+              kChecksumRelTolerance * std::max(expected, 1e-30)) {
+        return;
+      }
+      ++t.errors_detected;
+    }
+    ++t.retries_exhausted;
+  }
+
+  void add(const ResilienceReport& t) {
+    n_[0] += t.rows_computed;
+    n_[1] += t.flips_injected;
+    n_[2] += t.errors_detected;
+    n_[3] += t.rows_recomputed;
+    n_[4] += t.retries_exhausted;
+  }
+
+  const xfft::PlanND<float>& plan_;
+  std::span<xfft::Cf> data_;
+  const ResilienceOptions& opt_;
+  const xutil::CancelToken* cancel_;
+  std::atomic<std::uint64_t> n_[5] = {};  // the report's fields, in order
+};
+
+}  // namespace
+
+ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
+                               xfft::Direction dir,
+                               const ResilienceOptions& opt,
+                               const xfft::ExecOptions& exec) {
+  XU_CHECK_MSG(opt.max_attempts_per_row >= 1,
+               "need at least one compute attempt per row");
+  const auto plan = xfft::PlanCache::global().plan_nd(dims, dir);
+  SoftErrorChecker checker(*plan, data, opt, exec.cancel);
+  xfft::detail::execute_checked(*plan, data, exec, checker);
+  return checker.report();
 }
 
 }  // namespace xfault

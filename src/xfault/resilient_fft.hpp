@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <span>
 
+#include "xfft/fftnd.hpp"
 #include "xfft/types.hpp"
 
 namespace xfault {
@@ -26,7 +27,6 @@ struct ResilienceOptions {
   std::uint64_t seed = 1;
   /// Compute attempts per row: 1 initial + (max_attempts - 1) recoveries.
   unsigned max_attempts_per_row = 4;
-  unsigned max_radix = 8;
 };
 
 /// Retry/backoff accounting of one resilient transform.
@@ -40,16 +40,17 @@ struct ResilienceReport {
   [[nodiscard]] bool ok() const { return retries_exhausted == 0; }
 };
 
-/// Sum of |v|^2 over `data`, accumulated in double (the checksum primitive).
-[[nodiscard]] double parseval_energy(std::span<const xfft::Cf> data);
-
 /// In-place N-dimensional FFT over `dims` with per-row checksum verification
-/// and bounded recomputation. With soft_flip_rate == 0 the output is
-/// identical to xfft::PlanND's (the same row plans on the same values; here
-/// each row pass is followed by a rotation). Inverse transforms apply the
-/// unitary 1/N scaling.
+/// and bounded recomputation. It runs the cached xfft::PlanND (radix 8,
+/// unitary 1/N inverse) with a checker inside its passes: each transform is
+/// checked after its stages and before its write-back, and one that fails is
+/// recomputed from its input, which the write-back has not yet overwritten.
+/// With soft_flip_rate == 0 the output is identical to PlanND's. `exec`
+/// works as in PlanND::execute; on token expiry `data` and the report are
+/// unspecified.
 ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
                                xfft::Direction dir,
-                               const ResilienceOptions& opt = {});
+                               const ResilienceOptions& opt = {},
+                               const xfft::ExecOptions& exec = {});
 
 }  // namespace xfault

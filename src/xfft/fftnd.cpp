@@ -1,6 +1,7 @@
 #include "xfft/fftnd.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "xfft/vector_builds.hpp"
 #include "xpar/pool.hpp"
@@ -44,14 +45,27 @@ constexpr std::size_t kBlockCols = kLanes;
 /// that each step along the pencils copies one long contiguous run.
 constexpr std::size_t kItemBytes = std::size_t{256} << 10;
 
-/// Runs the kBlockCols rows of `len` points from `base` through the
-/// lane-major work block `re`/`im` (kBlockCols * len values each),
-/// transposing them into it. The codelet leaves frequency k in row perm[k],
-/// so writing that row back to element k is the digit reversal.
+/// This thread's grow-only work buffer of at least `bytes`, contents
+/// unspecified. A chunk body holds it until it returns; no chunk body
+/// starts another chunk on its thread.
+std::byte* thread_work(std::size_t bytes) {
+  thread_local xutil::AlignedVector<std::byte> buf;
+  if (buf.size() < bytes) buf = xutil::AlignedVector<std::byte>(bytes);
+  return buf.data();
+}
+
+/// Runs the kBlockCols rows of `len` points from offset `first` of `data`
+/// through the lane-major work block `re`/`im` (kBlockCols * len values
+/// each), transposing them into it. The codelet leaves frequency k in row
+/// perm[k], so writing that row back to element k is the digit reversal.
 template <typename T>
-void transform_row_block(const Plan1D<T>& plan, std::complex<T>* base, T* re,
-                         T* im, const ExecOptions& exec) {
+void transform_row_block(const Plan1D<T>& plan, std::complex<T>* data,
+                         std::size_t first, T* re, T* im,
+                         const ExecOptions& exec,
+                         detail::PassChecker<T>* checker,
+                         std::complex<T>* check_scratch) {
   const std::size_t len = plan.size();
+  std::complex<T>* const base = data + first;
   for (std::size_t k = 0; k < len; ++k) {
     for (std::size_t c = 0; c < kBlockCols; ++c) {
       re[k * kBlockCols + c] = base[k + c * len].real();
@@ -60,6 +74,9 @@ void transform_row_block(const Plan1D<T>& plan, std::complex<T>* base, T* re,
   }
   plan.execute_lanes(re, im, exec.cancel);
   if (exec_expired(exec)) return;
+  if (checker != nullptr) {
+    checker->check_lanes(0, first, kBlockCols, re, check_scratch);
+  }
   const std::uint32_t* const perm = plan.perm().data();
   for (std::size_t k = 0; k < len; ++k) {
     const T* const rk = re + perm[k] * kBlockCols;
@@ -200,6 +217,18 @@ void PlanND<T>::execute(std::span<std::complex<T>> data) const {
 template <typename T>
 void PlanND<T>::execute(std::span<std::complex<T>> data,
                         const ExecOptions& exec) const {
+  run(data, exec, nullptr);
+}
+
+void detail::execute_checked(const PlanND<float>& plan, std::span<Cf> data,
+                             const ExecOptions& exec,
+                             PassChecker<float>& checker) {
+  plan.run(data, exec, &checker);
+}
+
+template <typename T>
+void PlanND<T>::run(std::span<std::complex<T>> data, const ExecOptions& exec,
+                    detail::PassChecker<T>* checker) const {
   XU_CHECK_MSG(data.size() == dims_.total(),
                "buffer length " << data.size() << " != " << dims_.total());
   const std::size_t nx = dims_.nx;
@@ -211,20 +240,24 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
       dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN
           ? T(1) / static_cast<T>(dims_.total())
           : T(1);
-  if (nx > 1) transform_rows(data, ny > 1 || nz > 1 ? T(1) : scale, exec);
+  if (nx > 1) {
+    transform_rows(data, ny > 1 || nz > 1 ? T(1) : scale, exec, checker);
+  }
   // y pencils run at stride nx inside each of the nz planes; z pencils run
   // at stride nx*ny from each of the ny rows of the first plane.
   if (ny > 1 && !exec_expired(exec)) {
-    transform_pencils(data, 1, nx, nz, nx * ny, nz > 1 ? T(1) : scale, exec);
+    transform_pencils(data, 1, nx, nz, nx * ny, nz > 1 ? T(1) : scale, exec,
+                      checker);
   }
   if (nz > 1 && !exec_expired(exec)) {
-    transform_pencils(data, 2, nx * ny, ny, nx, scale, exec);
+    transform_pencils(data, 2, nx * ny, ny, nx, scale, exec, checker);
   }
 }
 
 template <typename T>
 void PlanND<T>::transform_rows(std::span<std::complex<T>> data, T scale,
-                               const ExecOptions& exec) const {
+                               const ExecOptions& exec,
+                               detail::PassChecker<T>* checker) const {
   const Plan1D<T>& plan = axis_plan(0);
   const std::size_t len = dims_.nx;
   const std::size_t rows = data.size() / len;
@@ -236,27 +269,36 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data, T scale,
   // pass faster. The x pass runs last only at rank 1, whose one row is a
   // tail row, so only tail rows take `scale`.
   const std::size_t blocks = rows / kBlockCols;
+  const std::size_t check_len = checker != nullptr ? 3 * len : 0;
   for_chunks(
       exec, 0, static_cast<std::int64_t>(blocks + rows % kBlockCols), 0,
       [&](std::int64_t lo, std::int64_t hi) {
         // Complex, so that a tail row can use it as execute()'s scratch;
         // [complex.numbers] lets the lane blocks view it as 2x as many T.
         // A chunk of tail rows only (every chunk of a 1-D transform) needs
-        // just that scratch.
-        xutil::AlignedVector<std::complex<T>> work(
-            static_cast<std::size_t>(lo) < blocks ? kBlockCols * len : len);
-        T* const re = reinterpret_cast<T*>(work.data());
+        // just that scratch. A checker's scratch follows.
+        const std::size_t block_len =
+            static_cast<std::size_t>(lo) < blocks ? kBlockCols * len : len;
+        auto* const work = reinterpret_cast<std::complex<T>*>(thread_work(
+            (block_len + check_len) * sizeof(std::complex<T>)));
+        T* const re = reinterpret_cast<T*>(work);
         for (auto item = static_cast<std::size_t>(lo);
              item < static_cast<std::size_t>(hi); ++item) {
           if (exec_expired(exec)) return;
           if (item < blocks) {
-            transform_row_block(plan, data.data() + item * kBlockCols * len,
-                                re, re + kBlockCols * len, exec);
+            transform_row_block(plan, data.data(), item * kBlockCols * len, re,
+                                re + kBlockCols * len, exec, checker,
+                                work + block_len);
           } else {
-            const auto row = data.subspan(
-                (blocks * kBlockCols + (item - blocks)) * len, len);
-            plan.execute(row, std::span<std::complex<T>>(work.data(), len),
-                         exec.cancel);
+            const std::size_t first =
+                (blocks * kBlockCols + (item - blocks)) * len;
+            const auto row = data.subspan(first, len);
+            if (checker != nullptr) {
+              checker->check_row(first, work + block_len);
+            } else {
+              plan.execute(row, std::span<std::complex<T>>(work, len),
+                           exec.cancel);
+            }
             if (scale != T(1)) {
               for (auto& v : row) v *= scale;
             }
@@ -269,7 +311,8 @@ template <typename T>
 void PlanND<T>::transform_pencils(std::span<std::complex<T>> data, int axis,
                                   std::size_t stride, std::size_t groups,
                                   std::size_t group_stride, T scale,
-                                  const ExecOptions& exec) const {
+                                  const ExecOptions& exec,
+                                  detail::PassChecker<T>* checker) const {
   const Plan1D<T>& plan = axis_plan(axis);
   const std::size_t len = plan.size();
   const std::size_t nx = dims_.nx;
@@ -288,25 +331,32 @@ void PlanND<T>::transform_pencils(std::span<std::complex<T>> data, int axis,
   // digit reversal and the scaling ride on the scatter.
   const auto gather = detail::in_active_build<&gather_pencils<T>>();
   const auto scatter = detail::in_active_build<&scatter_pencils<T>>();
+  // A checker's scratch follows the item's lane blocks.
+  const std::size_t item_len = item_cols / kBlockCols * lane_block;
+  const std::size_t work_len = item_len + (checker != nullptr ? 6 * len : 0);
   for_chunks(
       exec, 0, static_cast<std::int64_t>(groups * row_items), 0,
       [&](std::int64_t lo, std::int64_t hi) {
-        xutil::AlignedVector<T> work(item_cols / kBlockCols * lane_block);
+        T* const work = reinterpret_cast<T*>(thread_work(work_len * sizeof(T)));
         for (auto item = static_cast<std::size_t>(lo);
              item < static_cast<std::size_t>(hi); ++item) {
           if (exec_expired(exec)) return;
           const std::size_t x0 = item % row_items * item_cols;
           const std::size_t width = std::min(item_cols, nx - x0);
-          std::complex<T>* const base =
-              data.data() + item / row_items * group_stride + x0;
-          gather(base, stride, width, len, work.data());
+          const std::size_t first = item / row_items * group_stride + x0;
+          std::complex<T>* const base = data.data() + first;
+          gather(base, stride, width, len, work);
           for (std::size_t c = 0; c < width; c += kBlockCols) {
-            T* const re = work.data() + c / kBlockCols * lane_block;
+            T* const re = work + c / kBlockCols * lane_block;
             plan.execute_lanes(re, re + kBlockCols * len, exec.cancel);
           }
           if (exec_expired(exec)) return;
-          scatter(base, stride, width, len, work.data(), plan.perm().data(),
-                  scale);
+          if (checker != nullptr) {
+            checker->check_lanes(
+                axis, first, width, work,
+                reinterpret_cast<std::complex<T>*>(work + item_len));
+          }
+          scatter(base, stride, width, len, work, plan.perm().data(), scale);
         }
       });
 }

@@ -51,19 +51,48 @@ struct ExecOptions {
   bool serial = false;
 };
 
+template <typename T>
+class PlanND;
+
+namespace detail {
+
+/// A check PlanND runs on each transform between its stages and its
+/// write-back, while the input is still in the data buffer: the soft-error
+/// checker of xfault::resilient_fft. `scratch` holds 3 * len values.
+template <typename T>
+class PassChecker {
+ public:
+  /// `width` transforms along `axis` from offset `first` and the next rows
+  /// (axis 0) or x, in `work` as Plan1D::execute_lanes left its blocks.
+  virtual void check_lanes(int axis, std::size_t first, std::size_t width,
+                           T* work, std::complex<T>* scratch) = 0;
+  /// Transforms the x row at offset `first` in place, unscaled.
+  virtual void check_row(std::size_t first, std::complex<T>* scratch) = 0;
+
+ protected:
+  ~PassChecker() = default;
+};
+
+/// PlanND::execute with `checker` attached.
+void execute_checked(const PlanND<float>& plan, std::span<Cf> data,
+                     const ExecOptions& exec, PassChecker<float>& checker);
+
+}  // namespace detail
+
 /// Rotates axes of a 3-D array: dst[i0][i2][i1] = src[i2][i1][i0], where
 /// src has logical dims [d2][d1][d0] with d0 fastest. After the rotation the
 /// previously second-fastest axis (d1) is fastest, so row FFTs on dst
 /// transform what were columns of src. For 2-D arrays (d2 == 1) this is a
 /// matrix transpose. Three successive rotations restore the original layout.
-/// PlanND does not rotate; xfault::resilient_fft's row-and-rotate loop does.
+/// No library code rotates: PlanND computes the same rows in place, and the
+/// only caller is perfbench's xfft.rotate_gbps probe.
 template <typename T>
 void rotate_axes(std::span<const std::complex<T>> src,
                  std::span<std::complex<T>> dst, Dims3 dims);
 
 /// In-place N-dimensional FFT plan (rank 1, 2 or 3), natural layout in and
-/// out (x fastest). A plan is reusable and reentrant: execute() keeps its
-/// workspace per call, so any number of threads may run one plan (e.g. a
+/// out (x fastest). A plan is reusable and reentrant: its work blocks are
+/// per thread, so any number of threads may run one plan (e.g. a
 /// PlanCache entry) at once, each on its own buffer.
 ///
 /// Execution is block-parallel on the xpar pool: the row blocks of the x
@@ -99,12 +128,20 @@ class PlanND {
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
+  friend void detail::execute_checked(const PlanND<float>&, std::span<Cf>,
+                                      const ExecOptions&,
+                                      detail::PassChecker<float>&);
+
+  void run(std::span<std::complex<T>> data, const ExecOptions& exec,
+           detail::PassChecker<T>* checker) const;
   void transform_rows(std::span<std::complex<T>> data, T scale,
-                      const ExecOptions& exec) const;
+                      const ExecOptions& exec,
+                      detail::PassChecker<T>* checker) const;
   void transform_pencils(std::span<std::complex<T>> data, int axis,
                          std::size_t stride, std::size_t groups,
                          std::size_t group_stride, T scale,
-                         const ExecOptions& exec) const;
+                         const ExecOptions& exec,
+                         detail::PassChecker<T>* checker) const;
 
   Dims3 dims_;
   Direction dir_;

@@ -438,6 +438,9 @@ JobOutcome FftServer::execute_once(Job& job, Rung rung, unsigned attempt) {
     }
     case Rung::kParallel:
     case Rung::kSerial: {
+      xfft::ExecOptions exec;
+      exec.cancel = job.token.get();
+      exec.serial = rung == Rung::kSerial;
       if (job.fault_class == xfault::FaultClass::kTransient) {
         xfault::ResilienceOptions ropt;
         ropt.soft_flip_rate = job.plan.soft_flip_rate;
@@ -445,7 +448,8 @@ JobOutcome FftServer::execute_once(Job& job, Rung rung, unsigned attempt) {
         // so a retry does not replay the exact flips that defeated it.
         ropt.seed = job.req.seed + 0x9e3779b97f4a7c15ULL * attempt;
         ropt.max_attempts_per_row = kRowRecoveryAttempts;
-        const auto rep = xfault::resilient_fft(data, dims, job.req.dir, ropt);
+        const auto rep =
+            xfault::resilient_fft(data, dims, job.req.dir, ropt, exec);
         if (!rep.ok()) {
           out.status = ServeStatus::kFaultExhausted;
           out.error = "transient faults defeated attempt " +
@@ -456,9 +460,6 @@ JobOutcome FftServer::execute_once(Job& job, Rung rung, unsigned attempt) {
         }
       } else {
         const auto plan = xfft::PlanCache::global().plan_nd(dims, job.req.dir);
-        xfft::ExecOptions exec;
-        exec.cancel = job.token.get();
-        exec.serial = rung == Rung::kSerial;
         plan->execute(data, exec);
       }
       break;

@@ -5,6 +5,7 @@
 // executed from several threads at once gives each caller the bytes of a
 // single-thread run.
 #include <cstring>
+#include <iterator>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "xcheck/fuzzer.hpp"
+#include "xfault/resilient_fft.hpp"
 #include "xfft/fftnd.hpp"
 #include "xfft/plan_cache.hpp"
 #include "xpar/pool.hpp"
@@ -89,6 +91,109 @@ TEST_F(GlobalPoolSweep, FuzzReportByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_EQ(reports[0], reports[2]);
+}
+
+// The resilient_fft sweep: every shape at every flip rate, each hash
+// folding seeds 1 and 2 in both directions.
+constexpr xfft::Dims3 kSweepShapes[] = {
+    {1024, 1, 1},  {4096, 1, 1}, {64, 64, 1},   {128, 128, 1},
+    {32, 32, 32},  {24, 6, 5},   {40, 24, 18},  {136, 256, 4}};
+constexpr double kSweepRates[] = {0.0, 1e-4, 1e-3, 1e-2};
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
+  return h;
+}
+
+struct SweepHashes {
+  std::vector<std::uint64_t> pinned;  // reports, and outputs without garbage
+  std::vector<std::uint64_t> bytes;   // reports and every output byte
+};
+
+/// One FNV-1a hash per (shape, rate) of kSweep*. `pinned` leaves out the
+/// output of a transform whose report has retries_exhausted > 0: the values
+/// of a row whose retries ran out, and of every row it feeds, are
+/// unspecified (Plan1D), and they differ between the stage-loop builds and
+/// between compilers.
+SweepHashes resilient_sweep_hashes() {
+  SweepHashes out;
+  for (const xfft::Dims3 dims : kSweepShapes) {
+    const auto input = random_signal(dims.total(), 7);
+    for (const double rate : kSweepRates) {
+      std::uint64_t pinned = 0xcbf29ce484222325ULL;
+      std::uint64_t bytes = pinned;
+      for (const std::uint64_t seed : {1u, 2u}) {
+        for (const auto dir :
+             {xfft::Direction::kForward, xfft::Direction::kInverse}) {
+          auto data = input;
+          xfault::ResilienceOptions opt;
+          opt.soft_flip_rate = rate;
+          opt.seed = seed;
+          const auto r = xfault::resilient_fft(std::span<xfft::Cf>(data),
+                                               dims, dir, opt);
+          const std::size_t n = data.size() * sizeof(xfft::Cf);
+          if (r.ok()) pinned = fnv1a(pinned, data.data(), n);
+          bytes = fnv1a(bytes, data.data(), n);
+          const std::uint64_t fields[] = {r.rows_computed, r.flips_injected,
+                                          r.errors_detected, r.rows_recomputed,
+                                          r.retries_exhausted};
+          pinned = fnv1a(pinned, fields, sizeof(fields));
+          bytes = fnv1a(bytes, fields, sizeof(fields));
+        }
+      }
+      out.pinned.push_back(pinned);
+      out.bytes.push_back(bytes);
+    }
+  }
+  return out;
+}
+
+TEST_F(GlobalPoolSweep, ResilientFftMatchesRecordedSweepAt1_2_8Threads) {
+  // Recorded from the serial row-and-rotate implementation that the
+  // in-pass checker replaced. Every output byte must also be the same at
+  // every thread count.
+  constexpr std::uint64_t kRecorded[] = {
+      // 1024: rates 0, 1e-4, 1e-3, 1e-2
+      0x372cbe67c63e99c1, 0x372cbe67c63e99c1,
+      0x372cbe67c63e99c1, 0x3646f811dedf2e45,
+      // 4096
+      0x49e4a6ed34f3b695, 0x49e4a6ed34f3b695,
+      0x38fd1d5db6872345, 0x6b20b0310fb64ca5,
+      // 64x64
+      0xab9e6949802ac599, 0xab9e6949802ac599,
+      0x369fa00d700a26a9, 0x8d7daa34f4dbfe89,
+      // 128x128
+      0x67012e2f30042ec5, 0x73d1e13e1629151d,
+      0xded10cfa5cdc8949, 0x8c4fe68b667c83c2,
+      // 32x32x32
+      0x6d25a9a3abfb92cd, 0x5728b116dae1d341,
+      0x11cb6d2bcf97a841, 0x3cccae0cd02fc10c,
+      // 24x6x5
+      0xce249af408071721, 0xce249af408071721,
+      0x96cc4a4b30fb2e39, 0x35e4823651f76d4f,
+      // 40x24x18
+      0x22ed020c94f181c5, 0x829dfbd20d9f8f55,
+      0x4ebae97870c6fc45, 0x3c4585d87b21ff17,
+      // 136x256x4
+      0x4853bdb9bcaf0a2d, 0xa4f4bda5f62167b9,
+      0xc5a58ddbc05cf83d, 0x80e27cd5a03e9a62,
+  };
+  std::vector<std::uint64_t> bytes_at_1;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    xpar::ThreadPool::set_global_threads(threads);
+    const SweepHashes got = resilient_sweep_hashes();
+    ASSERT_EQ(got.pinned.size(), std::size(kRecorded));
+    for (std::size_t i = 0; i < got.pinned.size(); ++i) {
+      const xfft::Dims3 d = kSweepShapes[i / std::size(kSweepRates)];
+      EXPECT_EQ(got.pinned[i], kRecorded[i])
+          << d.nx << "x" << d.ny << "x" << d.nz << " rate "
+          << kSweepRates[i % std::size(kSweepRates)] << ", " << threads
+          << " threads, got 0x" << std::hex << got.pinned[i];
+    }
+    if (threads == 1) bytes_at_1 = got.bytes;
+    EXPECT_EQ(got.bytes, bytes_at_1) << threads << " threads";
+  }
 }
 
 TEST(CachedPlan, FourThreadsExecuteOnePlanBytewise) {
