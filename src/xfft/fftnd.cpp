@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <utility>
 
 #include "xfft/vector_builds.hpp"
 #include "xpar/pool.hpp"
@@ -54,35 +56,101 @@ std::byte* thread_work(std::size_t bytes) {
   return buf.data();
 }
 
-/// Runs the kBlockCols rows of `len` points from offset `first` of `data`
-/// through the lane-major work block `re`/`im` (kBlockCols * len values
-/// each), transposing them into it. The codelet leaves frequency k in row
-/// perm[k], so writing that row back to element k is the digit reversal.
-template <typename T>
-void transform_row_block(const Plan1D<T>& plan, std::complex<T>* data,
-                         std::size_t first, T* re, T* im,
-                         const ExecOptions& exec,
-                         detail::PassChecker<T>* checker,
-                         std::complex<T>* check_scratch) {
-  const std::size_t len = plan.size();
-  std::complex<T>* const base = data + first;
-  for (std::size_t k = 0; k < len; ++k) {
-    for (std::size_t c = 0; c < kBlockCols; ++c) {
-      re[k * kBlockCols + c] = base[k + c * len].real();
-      im[k * kBlockCols + c] = base[k + c * len].imag();
+/// A kBytes vector of T: kPoints complex points of one row, re and im
+/// interleaved, or kWidth lanes of one row of a lane block.
+template <typename T, std::size_t kBytes>
+struct Tile {
+  typedef T V __attribute__((vector_size(kBytes)));
+  static constexpr std::size_t kWidth = sizeof(V) / sizeof(T);
+  static constexpr std::size_t kPoints = kWidth / 2;
+  static_assert(kBlockCols % kWidth == 0);
+
+  /// Transposes the kWidth x kWidth matrix v[r][l] in place. Each of the
+  /// log2(kWidth) stages zips vector i with vector i + kWidth/2 into vectors
+  /// 2i and 2i+1, which rotates the bits of (r, l) left by one. Callers
+  /// keep V in memory or registers: a 64-byte V passed by value across a
+  /// call changes the ABI between builds.
+  [[gnu::always_inline]] static void transpose(V* v) {
+    for (std::size_t w = kWidth; w > 1; w /= 2) {
+      zip(v, std::make_index_sequence<kWidth>{});
     }
   }
-  plan.execute_lanes(re, im, exec.cancel);
-  if (exec_expired(exec)) return;
-  if (checker != nullptr) {
-    checker->check_lanes(0, first, kBlockCols, re, check_scratch);
+
+ private:
+  template <std::size_t... I>
+  [[gnu::always_inline]] static void zip(V* v, std::index_sequence<I...>) {
+    constexpr std::size_t h = kWidth / 2;
+    V t[kWidth];
+    for (std::size_t i = 0; i < h; ++i) {
+      t[2 * i] = __builtin_shufflevector(v[i], v[i + h],
+                                         I / 2 + I % 2 * kWidth...);
+      t[2 * i + 1] = __builtin_shufflevector(v[i], v[i + h],
+                                             h + I / 2 + I % 2 * kWidth...);
+    }
+    std::copy(t, t + kWidth, v);
   }
-  const std::uint32_t* const perm = plan.perm().data();
-  for (std::size_t k = 0; k < len; ++k) {
-    const T* const rk = re + perm[k] * kBlockCols;
-    const T* const ik = im + perm[k] * kBlockCols;
+};
+
+/// Copies the kBlockCols rows of `len` points at `base` into the lane block
+/// `work`: element k of row c to work[k*kBlockCols + c] (real parts) and
+/// kBlockCols * len values later (imaginary parts). Each step transposes
+/// one kBytes tile of each of kWidth rows in registers; the last
+/// len % kPoints points go one by one.
+template <typename T, std::size_t kBytes>
+void gather_rows(const std::complex<T>* base, std::size_t len, T* work) {
+  using Tl = Tile<T, kBytes>;
+  const auto* const src = reinterpret_cast<const T*>(base);
+  T* const im = work + kBlockCols * len;
+  const std::size_t tiled = len - len % Tl::kPoints;
+  for (std::size_t k = 0; k < tiled; k += Tl::kPoints) {
+    for (std::size_t g = 0; g < kBlockCols; g += Tl::kWidth) {
+      typename Tl::V v[Tl::kWidth];
+      for (std::size_t r = 0; r < Tl::kWidth; ++r) {
+        std::memcpy(&v[r], src + 2 * ((g + r) * len + k), sizeof v[r]);
+      }
+      Tl::transpose(v);
+      for (std::size_t j = 0; j < Tl::kWidth; ++j) {
+        T* const dst = (j % 2 == 0 ? work : im) + (k + j / 2) * kBlockCols;
+        std::memcpy(dst + g, &v[j], sizeof v[j]);
+      }
+    }
+  }
+  for (std::size_t k = tiled; k < len; ++k) {
     for (std::size_t c = 0; c < kBlockCols; ++c) {
-      base[k + c * len] = {rk[c], ik[c]};
+      work[k * kBlockCols + c] = base[c * len + k].real();
+      im[k * kBlockCols + c] = base[c * len + k].imag();
+    }
+  }
+}
+
+/// The inverse of gather_rows after the stages: writes row perm[k] of the
+/// lane block to element k of its rows, through the same transpose. The
+/// codelet leaves frequency k in row perm[k], so this is the digit reversal.
+template <typename T, std::size_t kBytes>
+void scatter_rows(std::complex<T>* base, std::size_t len, const T* work,
+                  const std::uint32_t* perm) {
+  using Tl = Tile<T, kBytes>;
+  auto* const dst = reinterpret_cast<T*>(base);
+  const T* const im = work + kBlockCols * len;
+  const std::size_t tiled = len - len % Tl::kPoints;
+  for (std::size_t k = 0; k < tiled; k += Tl::kPoints) {
+    for (std::size_t g = 0; g < kBlockCols; g += Tl::kWidth) {
+      typename Tl::V v[Tl::kWidth];
+      for (std::size_t j = 0; j < Tl::kWidth; ++j) {
+        const T* const src = j % 2 == 0 ? work : im;
+        std::memcpy(&v[j], src + perm[k + j / 2] * kBlockCols + g,
+                    sizeof v[j]);
+      }
+      Tl::transpose(v);
+      for (std::size_t r = 0; r < Tl::kWidth; ++r) {
+        std::memcpy(dst + 2 * ((g + r) * len + k), &v[r], sizeof v[r]);
+      }
+    }
+  }
+  for (std::size_t k = tiled; k < len; ++k) {
+    for (std::size_t c = 0; c < kBlockCols; ++c) {
+      base[c * len + k] = {work[perm[k] * kBlockCols + c],
+                           im[perm[k] * kBlockCols + c]};
     }
   }
 }
@@ -118,8 +186,8 @@ void gather_pencils(const std::complex<T>* base, std::size_t stride,
 }
 
 /// The inverse of gather_pencils after the stages: writes row perm[k] of
-/// every lane block, times `scale`, to step k of its pencils.
-template <typename T>
+/// every lane block to step k of its pencils, times `scale` if kScaled.
+template <typename T, bool kScaled>
 void scatter_pencils(std::complex<T>* base, std::size_t stride,
                      std::size_t width, std::size_t len, const T* work,
                      const std::uint32_t* perm, T scale) {
@@ -131,7 +199,11 @@ void scatter_pencils(std::complex<T>* base, std::size_t stride,
       const T* const im = re + kBlockCols * len;
       const std::size_t w = std::min(kBlockCols, width - c);
       for (std::size_t l = 0; l < w; ++l) {
-        dst[c + l] = {re[l] * scale, im[l] * scale};
+        if constexpr (kScaled) {
+          dst[c + l] = {re[l] * scale, im[l] * scale};
+        } else {
+          dst[c + l] = {re[l], im[l]};
+        }
       }
     }
   }
@@ -262,13 +334,21 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data, T scale,
   const std::size_t len = dims_.nx;
   const std::size_t rows = data.size() / len;
   // Work item b < blocks is the block of kBlockCols consecutive rows from
-  // row b*kBlockCols, transposed into the work block in cache. The rows
-  // past the last full block run one item each through execute(), so a
-  // 1-D transform does not pay for idle lanes. These strided copies stay
-  // on the baseline build: an x86-64-v4 build of them did not make the x
-  // pass faster. The x pass runs last only at rank 1, whose one row is a
-  // tail row, so only tail rows take `scale`.
+  // row b*kBlockCols, transposed into the work block in cache one vector
+  // of each row at a time. The rows past the last full block run one item
+  // each through execute(), so a 1-D transform does not pay for idle lanes.
+  // The x pass runs last only at rank 1, whose one row is a tail row, so
+  // only tail rows take `scale`.
   const std::size_t blocks = rows / kBlockCols;
+  // The transposing copies have a build per vector width, as the stage
+  // loop does. Only x86-64-v4 moves 64-byte tiles: GCC 12 splits a shuffle
+  // wider than the target's registers into single elements, and its AVX2
+  // 32-byte tiles were no faster than copying point by point, so the
+  // narrower builds move 16-byte tiles.
+  const auto gather =
+      detail::in_active_build<&gather_rows<T, 64>, &gather_rows<T, 16>>();
+  const auto scatter =
+      detail::in_active_build<&scatter_rows<T, 64>, &scatter_rows<T, 16>>();
   const std::size_t check_len = checker != nullptr ? 3 * len : 0;
   for_chunks(
       exec, 0, static_cast<std::int64_t>(blocks + rows % kBlockCols), 0,
@@ -286,9 +366,14 @@ void PlanND<T>::transform_rows(std::span<std::complex<T>> data, T scale,
              item < static_cast<std::size_t>(hi); ++item) {
           if (exec_expired(exec)) return;
           if (item < blocks) {
-            transform_row_block(plan, data.data(), item * kBlockCols * len, re,
-                                re + kBlockCols * len, exec, checker,
-                                work + block_len);
+            const std::size_t first = item * kBlockCols * len;
+            gather(data.data() + first, len, re);
+            plan.execute_lanes(re, re + kBlockCols * len, exec.cancel);
+            if (exec_expired(exec)) return;
+            if (checker != nullptr) {
+              checker->check_lanes(0, first, kBlockCols, re, work + block_len);
+            }
+            scatter(data.data() + first, len, re, plan.perm().data());
           } else {
             const std::size_t first =
                 (blocks * kBlockCols + (item - blocks)) * len;
@@ -328,9 +413,12 @@ void PlanND<T>::transform_pencils(std::span<std::complex<T>> data, int axis,
                               (nx + kBlockCols - 1) / kBlockCols);
   const std::size_t row_items = (nx + item_cols - 1) / item_cols;
   // The copies have a build per vector width, as the stage loop does; the
-  // digit reversal and the scaling ride on the scatter.
+  // digit reversal and the scaling ride on the scatter, which multiplies
+  // only in the pass that scales.
   const auto gather = detail::in_active_build<&gather_pencils<T>>();
-  const auto scatter = detail::in_active_build<&scatter_pencils<T>>();
+  const auto scatter =
+      scale != T(1) ? detail::in_active_build<&scatter_pencils<T, true>>()
+                    : detail::in_active_build<&scatter_pencils<T, false>>();
   // A checker's scratch follows the item's lane blocks.
   const std::size_t item_len = item_cols / kBlockCols * lane_block;
   const std::size_t work_len = item_len + (checker != nullptr ? 6 * len : 0);

@@ -1,7 +1,8 @@
 // The one build table of xfft's hot loops (docs/architecture.md §3): the
-// radix-2/4/8 stage loop (plan1d.cpp) and PlanND's unit-stride pencil copies
-// (fftnd.cpp) each have an x86-64-v4, an x86-64-v3 and a baseline build of
-// one source, and every call goes through the build active_build() names.
+// radix-2/4/8 stage loop (plan1d.cpp), PlanND's unit-stride pencil copies and
+// its x pass's transposing row copies (fftnd.cpp) each have an x86-64-v4, an
+// x86-64-v3 and a baseline build of one source, and every call goes through
+// the build active_build() names.
 // Included only by xfft's own sources, which all see the same
 // XFFT_STAGE_LOOP_BUILDS (src/xfft/CMakeLists.txt); tests use the seam in
 // stage_loop.hpp instead.
@@ -14,7 +15,7 @@
 
 namespace xfft::detail {
 
-template <auto F>
+template <auto F, auto Narrow = F>
 struct VectorBuilds;
 
 // The same source compiled for wider vectors: `flatten` inlines the whole
@@ -28,22 +29,22 @@ struct VectorBuilds;
 inline constexpr std::string_view kBuildNames[] = {"x86-64-v4", "x86-64-v3",
                                                    "baseline"};
 
-template <typename... A, void (*F)(A...)>
-struct VectorBuilds<F> {
+template <typename... A, void (*F)(A...), void (*Narrow)(A...)>
+struct VectorBuilds<F, Narrow> {
   [[gnu::target("arch=x86-64-v4"), gnu::flatten]] static void v4(A... a) {
     F(a...);
   }
   [[gnu::target("arch=x86-64-v3"), gnu::flatten]] static void v3(A... a) {
-    F(a...);
+    Narrow(a...);
   }
-  static constexpr void (*kTable[])(A...) = {&v4, &v3, F};
+  static constexpr void (*kTable[])(A...) = {&v4, &v3, Narrow};
 };
 #else
 inline constexpr std::string_view kBuildNames[] = {"baseline"};
 
-template <typename... A, void (*F)(A...)>
-struct VectorBuilds<F> {
-  static constexpr void (*kTable[])(A...) = {F};
+template <typename... A, void (*F)(A...), void (*Narrow)(A...)>
+struct VectorBuilds<F, Narrow> {
+  static constexpr void (*kTable[])(A...) = {Narrow};
 };
 #endif
 
@@ -53,10 +54,12 @@ inline constexpr std::size_t kBuilds = std::size(kBuildNames);
 /// CPU supports, chosen once (or the one a ScopedStageLoopBuild set).
 std::atomic<std::size_t>& active_build();
 
-/// F as compiled for the active build.
-template <auto F>
+/// F as compiled for the active build. A loop whose source has to differ
+/// by vector width passes its x86-64-v4 form as F and the form for the
+/// narrower builds as Narrow.
+template <auto F, auto Narrow = F>
 auto in_active_build() {
-  return VectorBuilds<F>::kTable[active_build().load(
+  return VectorBuilds<F, Narrow>::kTable[active_build().load(
       std::memory_order_relaxed)];
 }
 

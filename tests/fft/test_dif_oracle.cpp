@@ -254,12 +254,19 @@ TEST(XmtcFftND, MatchesPlanNDOn3D) {
   // 40 and 104 = 64 + 40), or into a full item and a partial block (z: 40
   // = 32 + 8), and 136x256 and 72x256 do so in a 2-D plan, whose y pass
   // does the inverse's scaling.
+  //
+  // The x pass transposes each row block 64 bytes of each row at a time (8
+  // float or 4 double points) and copies the rest point by point:
+  // {256,32,2} is all full tiles, {45,32,2} ends in a tail of 5 float or 1
+  // double point (over odd radices), {7,48,1} is all tail, and {1020,16,1}
+  // is one long block that ends in a tail of 4 float points.
   for_each_stage_loop_build([] {
     for (const Dims3 dims :
          {Dims3{16, 8, 4}, Dims3{4, 4, 32}, Dims3{36, 20, 1},
           Dims3{1000, 1, 1}, Dims3{20, 256, 2}, Dims3{3, 128, 32},
           Dims3{40, 4096, 1}, Dims3{24, 6, 5}, Dims3{20, 9, 24},
-          Dims3{18, 24, 9}}) {
+          Dims3{18, 24, 9}, Dims3{256, 32, 2}, Dims3{45, 32, 2},
+          Dims3{7, 48, 1}, Dims3{1020, 16, 1}}) {
       expect_plannd_matches_reference<float>(dims);
       expect_plannd_matches_reference<double>(dims);
     }
