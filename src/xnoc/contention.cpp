@@ -28,10 +28,4 @@ double efficiency(const Topology& t, TrafficPattern pattern,
   return 1.0;
 }
 
-double raw_bandwidth_bytes_per_cycle(const Topology& t,
-                                     double port_bytes_per_cycle) {
-  XU_CHECK(port_bytes_per_cycle > 0.0);
-  return static_cast<double>(t.clusters) * port_bytes_per_cycle;
-}
-
 }  // namespace xnoc

@@ -36,9 +36,4 @@ struct ContentionParams {
 [[nodiscard]] double efficiency(const Topology& t, TrafficPattern pattern,
                                 const ContentionParams& params = {});
 
-/// Raw aggregate bandwidth in bytes/cycle offered by the cluster-side ports
-/// (one port per cluster, `port_bytes_per_cycle` each).
-[[nodiscard]] double raw_bandwidth_bytes_per_cycle(
-    const Topology& t, double port_bytes_per_cycle);
-
 }  // namespace xnoc

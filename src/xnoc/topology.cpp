@@ -1,21 +1,9 @@
 #include "xnoc/topology.hpp"
 
-#include <sstream>
-
 #include "xutil/check.hpp"
 #include "xutil/units.hpp"
 
 namespace xnoc {
-
-std::string Topology::describe() const {
-  std::ostringstream os;
-  os << clusters << "x" << modules << " "
-     << (is_pure_mot() ? "pure MoT" : "hybrid MoT/butterfly") << " ("
-     << mot_levels << " MoT";
-  if (butterfly_levels > 0) os << " + " << butterfly_levels << " butterfly";
-  os << " levels)";
-  return os.str();
-}
 
 Topology pure_mot(std::size_t clusters, std::size_t modules) {
   Topology t{clusters, modules,
@@ -50,6 +38,9 @@ void validate(const Topology& t) {
   }
 }
 
+namespace {
+
+/// Ports seen by the butterfly section (0 for pure MoT).
 std::uint64_t butterfly_ports(const Topology& t) {
   if (t.is_pure_mot()) return 0;
   // Split the MoT levels between the cluster side and the module side in
@@ -57,6 +48,8 @@ std::uint64_t butterfly_ports(const Topology& t) {
   const unsigned d1 = t.mot_levels / 2;
   return static_cast<std::uint64_t>(t.clusters) << d1;
 }
+
+}  // namespace
 
 std::uint64_t switch_count(const Topology& t) {
   validate(t);

@@ -8,8 +8,8 @@
 // internal blocking.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace xnoc {
 
@@ -30,8 +30,6 @@ struct Topology {
   [[nodiscard]] unsigned total_levels() const {
     return mot_levels + butterfly_levels;
   }
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Pure MoT between `clusters` and `modules` (both powers of two):
@@ -53,9 +51,6 @@ struct Topology {
 /// butterfly on P = clusters * 2^d1 ports with butterfly_levels stages of
 /// P/2 2x2 switches.
 [[nodiscard]] std::uint64_t switch_count(const Topology& t);
-
-/// Ports seen by the butterfly section (0 for pure MoT).
-[[nodiscard]] std::uint64_t butterfly_ports(const Topology& t);
 
 /// Validates internal consistency (power-of-two sizes, level split within
 /// the pure-MoT depth); throws xutil::Error on violation.

@@ -4,8 +4,10 @@
 // The paper's own simulator (XMTSim) was validated against an FPGA
 // prototype with up to 33% discrepancy (5% for the FFT); our model is
 // calibrated against the paper's published Table IV, and the calibration is
-// cross-checked by the packet-level NoC queue simulation (xnoc::simulate_noc)
-// and by the cycle-level machine simulation (xsim::Machine) at small scale.
+// cross-checked by the cycle-level machine simulation (xsim::Machine) at
+// small scale. The machine's "NoC orderings" table (bench/micro_machine)
+// shows the orderings the NoC constants assume; its transpose penalty
+// appears on a pure MoT too, so kNocTransposePerLevel stays a calibration.
 #pragma once
 
 namespace xsim::cal {
@@ -31,7 +33,10 @@ inline constexpr double kDramRotationEff = 0.506;
 inline constexpr double kNocUniformPerLevel = 0.985;
 
 /// Per-butterfly-level retention under rotation (transpose) traffic:
-/// correlated strided bursts conflict inside the butterfly. 0.785 places
+/// correlated strided bursts conflict inside the butterfly. On the
+/// cycle-level machine the bursts also queue at the module window they all
+/// aim at, on a pure MoT too, so this value is fitted to Table IV rather
+/// than derived from a simulated butterfly. 0.785 places
 /// the 64k rotation marker just below the bandwidth roofline (observation
 /// (b): "beginning to fall below the sloped line") and makes rotation
 /// clearly NoC-bound at 128k (9 levels -> 0.11 retention).

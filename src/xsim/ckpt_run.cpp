@@ -59,6 +59,7 @@ CheckpointedRunStatus run_fft_checkpointed(Machine& machine,
   CheckpointedRunStatus status;
   DetailedFftResult& out = status.result;
   const auto phases = xfft::build_fft_phases(dims, max_radix);
+  XU_CHECK_MSG(!phases.empty(), "no phases to simulate");
   std::size_t phase_index = 0;  // phases fully simulated so far
 
   const auto generator_for = [&](std::size_t pi) {

@@ -7,6 +7,7 @@ DetailedFftResult run_fft_on_machine(Machine& machine, xfft::Dims3 dims,
                                      FftTrafficOptions traffic) {
   DetailedFftResult out;
   const auto phases = xfft::build_fft_phases(dims, max_radix);
+  XU_CHECK_MSG(!phases.empty(), "no phases to simulate");
   bool first = true;
   for (const auto& ph : phases) {
     const auto gen =

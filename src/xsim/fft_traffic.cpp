@@ -1,5 +1,7 @@
 #include "xsim/fft_traffic.hpp"
 
+#include <vector>
+
 #include "xfft/twiddle.hpp"
 #include "xutil/check.hpp"
 
@@ -139,6 +141,49 @@ ProgramGenerator make_hotspot_generator(std::size_t loads,
     p.reserve(loads);
     for (std::size_t i = 0; i < loads; ++i) {
       p.push_back({Step::Kind::kLoad, 1, addr});
+    }
+    return p;
+  };
+}
+
+ProgramGenerator make_noc_pattern_generator(const Machine& machine,
+                                            xnoc::TrafficPattern pattern,
+                                            std::size_t loads) {
+  constexpr std::size_t kLinesPerModule = 8;
+  const MachineConfig& cfg = machine.config();
+  const std::uint64_t modules = cfg.memory_modules;
+  // lines[m * kLinesPerModule + j]: the j-th lowest line address that the
+  // machine's address hash sends to module m.
+  std::vector<std::uint64_t> lines(modules * kLinesPerModule);
+  std::vector<std::size_t> found(modules, 0);
+  for (std::uint64_t addr = 0, full = 0; full < modules;
+       addr += cfg.cache_line_bytes) {
+    const std::uint32_t m = machine.module_of(addr);
+    if (found[m] == kLinesPerModule) continue;
+    lines[m * kLinesPerModule + found[m]] = addr;
+    if (++found[m] == kLinesPerModule) ++full;
+  }
+  if (pattern == xnoc::TrafficPattern::kHotSpot) {
+    return make_hotspot_generator(loads, lines[0]);
+  }
+
+  return [=, lines = std::move(lines)](std::uint64_t t) -> ThreadProgram {
+    ThreadProgram p;
+    p.reserve(loads);
+    for (std::uint64_t k = 0; k < loads; ++k) {
+      const std::uint64_t h = mix64(t * 1315423911ULL + k);
+      std::uint64_t m = h % modules;
+      if (pattern == xnoc::TrafficPattern::kTranspose) {
+        // Rotation scatter: during an epoch every thread aims at the same
+        // narrow window of modules, the strided burst all threads emit at
+        // once; the window shifts between epochs.
+        const std::uint64_t window = modules >= 4 ? modules / 4 : 1;
+        const std::uint64_t base = (k / kNocTransposeEpoch) * window;
+        const std::uint64_t offset = (t * 2654435761ULL + k) % window;
+        m = (base + offset) % modules;
+      }
+      const std::uint64_t line = (h >> 32) % kLinesPerModule;
+      p.push_back({Step::Kind::kLoad, 1, lines[m * kLinesPerModule + line]});
     }
     return p;
   };

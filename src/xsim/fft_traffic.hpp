@@ -11,6 +11,7 @@
 #pragma once
 
 #include "xfft/xmt_kernel.hpp"
+#include "xnoc/contention.hpp"
 #include "xsim/machine.hpp"
 
 namespace xsim {
@@ -51,5 +52,18 @@ struct FftTrafficOptions {
 /// unreplicated shared LUT entry: requests to one location queue).
 [[nodiscard]] ProgramGenerator make_hotspot_generator(std::size_t loads,
                                                       std::uint64_t addr);
+
+/// Loads of one transpose burst: for this many consecutive loads every
+/// thread aims at the same quarter of the modules, then the window shifts.
+inline constexpr std::uint64_t kNocTransposeEpoch = 8;
+
+/// NoC traffic of `pattern`: each thread issues `loads` loads to the first
+/// 8 lines (by `machine.module_of`) of a module the pattern picks, so a warm
+/// run (keep_cache) hits in cache and times the interconnect, not DRAM.
+/// Uniform hashes (thread, load index) to a module; transpose sends load k
+/// of thread t into a window of modules/4 modules that shifts every
+/// kNocTransposeEpoch loads; hot-spot sends every load to one line.
+[[nodiscard]] ProgramGenerator make_noc_pattern_generator(
+    const Machine& machine, xnoc::TrafficPattern pattern, std::size_t loads);
 
 }  // namespace xsim

@@ -18,6 +18,7 @@
 #include "xsim/fft_traffic.hpp"
 #include "xsim/machine.hpp"
 #include "xsim/scaled_config.hpp"
+#include "xutil/check.hpp"
 
 namespace {
 
@@ -96,6 +97,14 @@ TEST_F(MachineCkpt, InterruptResumeChainIsBitIdentical) {
   EXPECT_GT(sessions, 2u) << "test never actually interrupted";
   EXPECT_TRUE(st.resumed);
   EXPECT_EQ(bytes_of(st.result), bytes_of(ref));
+}
+
+TEST_F(MachineCkpt, TransformWithNoPhasesIsRefused) {
+  xsim::Machine machine(small_config());
+  xckpt::CheckpointRing ring(dir_, xckpt::kTagMachineRun);
+  EXPECT_THROW((void)xsim::run_fft_checkpointed(
+                   machine, ring, xfft::Dims3{1, 1, 1}, 8, {}, {}),
+               xutil::Error);
 }
 
 TEST_F(MachineCkpt, ResumeRejectsDifferentRun) {

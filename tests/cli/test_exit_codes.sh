@@ -30,6 +30,10 @@ expect 2 "$CLI" frobnicate
 expect 3 "$CLI" fft --size 1024 --bogus 1
 expect 3 "$CLI" fft --size 134
 
+# invalid input: a 1x1 transform has no phases to run on the machine
+expect 3 "$CLI" machine --clusters 8 --size 1x1
+expect 3 "$CLI" faults --clusters 8 --size 1x1
+
 # deadline: an absurdly small cycle limit trips the simulator watchdog
 expect 4 "$CLI" machine --clusters 4 --size 64x64 --cycle-limit 50
 

@@ -4,6 +4,7 @@
 
 #include "xsim/fft_on_machine.hpp"
 #include "xsim/perf_model.hpp"
+#include "xutil/check.hpp"
 
 namespace {
 
@@ -35,6 +36,12 @@ TEST(FftOnMachine, RunsAllPhasesOfA2DTransform) {
   }
   EXPECT_EQ(sum, r.total_cycles);
   EXPECT_GT(r.standard_gflops(dims, 3.3e9), 0.0);
+}
+
+TEST(FftOnMachine, TransformWithNoPhasesIsRefused) {
+  xsim::Machine m(mini());
+  EXPECT_THROW((void)xsim::run_fft_on_machine(m, xfft::Dims3{1, 1, 1}),
+               xutil::Error);
 }
 
 TEST(FftOnMachine, WarmTwiddlesMakeLaterPhasesHitMore) {

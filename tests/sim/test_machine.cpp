@@ -1,7 +1,8 @@
 // Tests of the cycle-level machine: draining/invariant properties, the
 // NBW-FSM no-deadlock property, resource-scaling monotonicity, hot-spot
-// behaviour, cross-fidelity agreement with the analytic model, and golden
-// statistics that pin every observable of representative runs exactly.
+// behaviour, the NoC orderings the analytic contention model assumes,
+// cross-fidelity agreement with the analytic model, and golden statistics
+// that pin every observable of representative runs exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -49,6 +50,16 @@ MachineConfig tiny_pure_mot() {
   c.butterfly_levels = 0;
   c.validate();
   return c;
+}
+
+TEST(Machine, RejectsButterflyDeeperThanClusterIndex) {
+  // The router permutes butterfly_levels bits of a cluster-wide link index;
+  // 4 levels on 8 clusters would address links 8..15, which do not exist.
+  MachineConfig cfg = tiny_config();
+  cfg.butterfly_levels = 4;
+  cfg.mot_levels = 2;
+  cfg.validate();  // the topology split alone is legal
+  EXPECT_THROW(Machine m(cfg), xutil::Error);
 }
 
 TEST(Machine, AllThreadsCompleteAndCountsConserve) {
@@ -188,6 +199,75 @@ TEST(Machine, CycleLimitThrowsTypedErrorWhenRequested) {
     EXPECT_GT(e.outstanding, 0u);
     EXPECT_NE(std::string(e.what()).find("cycle limit"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// NoC orderings on the machine's interconnect. Loads go to 8 cache-resident
+// lines per module, so the warm run is bound by the NoC and module ports.
+// ---------------------------------------------------------------------------
+
+MachineConfig noc_config(std::size_t clusters, unsigned mot, unsigned bf) {
+  MachineConfig c = tiny_config();
+  c.name = "noc";
+  c.clusters = clusters;
+  c.tcus = clusters * 32;
+  c.memory_modules = clusters;
+  c.mot_levels = mot;
+  c.butterfly_levels = bf;
+  c.cache_bytes_per_mm = 16 * 1024;
+  c.validate();
+  return c;
+}
+
+/// Second (warm) run of 4 threads per TCU, 64 loads each.
+MachineResult warm_noc_run(const MachineConfig& cfg,
+                           xnoc::TrafficPattern pattern) {
+  Machine m(cfg);
+  const auto gen = xsim::make_noc_pattern_generator(m, pattern, 64);
+  (void)m.run_parallel_section(4 * cfg.tcus, gen);
+  return m.run_parallel_section(4 * cfg.tcus, gen, /*keep_cache=*/true);
+}
+
+/// Requests per cycle per cluster; 1 is every LSU port busy every cycle.
+double noc_efficiency(const MachineResult& r, const MachineConfig& cfg) {
+  return static_cast<double>(r.mem_requests) /
+         (static_cast<double>(r.cycles) * static_cast<double>(cfg.clusters));
+}
+
+TEST(MachineNoc, PureMotSustainsNearFullThroughputUnderUniform) {
+  const MachineConfig mot = noc_config(16, 8, 0);
+  const auto r = warm_noc_run(mot, xnoc::TrafficPattern::kUniform);
+  EXPECT_EQ(r.mem_requests, 4u * mot.tcus * 64u);
+  EXPECT_GT(r.cache_hit_rate(), 0.95);
+  EXPECT_GE(noc_efficiency(r, mot), 0.9);
+  EXPECT_EQ(r.max_noc_queue, 0u);  // no shared links to queue on
+}
+
+TEST(MachineNoc, ButterflyUniformStaysHighButBelowMot) {
+  const MachineConfig mot = noc_config(16, 8, 0);
+  const MachineConfig bf = noc_config(16, 4, 4);
+  const double e_mot = noc_efficiency(
+      warm_noc_run(mot, xnoc::TrafficPattern::kUniform), mot);
+  const auto r = warm_noc_run(bf, xnoc::TrafficPattern::kUniform);
+  EXPECT_GT(noc_efficiency(r, bf), 0.5);
+  EXPECT_LE(noc_efficiency(r, bf), e_mot + 0.05);
+  EXPECT_GT(r.max_noc_queue, 0u);
+}
+
+TEST(MachineNoc, TransposeDegradesMoreThanUniformOnButterfly) {
+  const MachineConfig cfg = noc_config(32, 4, 5);
+  const double uni = noc_efficiency(
+      warm_noc_run(cfg, xnoc::TrafficPattern::kUniform), cfg);
+  const double rot = noc_efficiency(
+      warm_noc_run(cfg, xnoc::TrafficPattern::kTranspose), cfg);
+  EXPECT_LT(rot, uni);
+}
+
+TEST(MachineNoc, HotSpotThroughputIsOneModulesRate) {
+  const MachineConfig cfg = noc_config(16, 4, 4);
+  const auto r = warm_noc_run(cfg, xnoc::TrafficPattern::kHotSpot);
+  // 16 cluster ports all feeding one module that retires 1/cycle.
+  EXPECT_NEAR(noc_efficiency(r, cfg), 1.0 / 16.0, 0.02);
 }
 
 // ---------------------------------------------------------------------------
