@@ -1,7 +1,6 @@
 // Micro-benchmark: the cycle-level machine on scaled-down configurations,
 // cross-checked against the analytic model (the two-fidelity agreement
-// DESIGN.md §5 promises), and the NoC orderings the analytic contention
-// constants assume, measured on the machine's interconnect.
+// DESIGN.md §5 promises).
 #include <cstdio>
 
 #include "xfft/xmt_kernel.hpp"
@@ -27,25 +26,6 @@ xsim::MachineConfig scaled(const char* name, std::size_t clusters,
   c.cache_bytes_per_mm = 16 * 1024;
   c.validate();
   return c;
-}
-
-/// Requests per cycle per cluster (peak 1: one LSU port each) of a warm
-/// run, and the deepest butterfly-link queue it saw.
-struct NocRun {
-  double efficiency = 0.0;
-  std::uint64_t max_noc_queue = 0;
-};
-
-NocRun warm_noc_run(xsim::Machine& m, xnoc::TrafficPattern pattern,
-                    std::size_t loads) {
-  const std::uint64_t threads = 4 * m.config().tcus;
-  const auto gen = xsim::make_noc_pattern_generator(m, pattern, loads);
-  (void)m.run_parallel_section(threads, gen);
-  const auto r = m.run_parallel_section(threads, gen, /*keep_cache=*/true);
-  return {static_cast<double>(r.mem_requests) /
-              (static_cast<double>(r.cycles) *
-               static_cast<double>(m.config().clusters)),
-          r.max_noc_queue};
 }
 
 }  // namespace
@@ -99,38 +79,5 @@ int main() {
   }
   f.add_row({"TOTAL", std::to_string(total), "", "", ""});
   std::fputs(f.render().c_str(), stdout);
-
-  const xsim::MachineConfig nocs[] = {
-      scaled("pure MoT 32", 32, 10, 0, 2),
-      scaled("hybrid 32 (6 MoT + 4 BF)", 32, 6, 4, 2),
-      scaled("hybrid 64 (6 MoT + 6 BF)", 64, 6, 6, 2),
-      scaled("hybrid 128 (7 MoT + 7 BF)", 128, 7, 7, 2),
-  };
-  xutil::Table n("NOC ORDERINGS ON THE CYCLE-LEVEL MACHINE (warm, requests/"
-                 "cycle/cluster)");
-  n.set_header({"Machine", "uniform", "transpose", "hot-spot",
-                "max NoC queue (uniform)", "max NoC queue (transpose)"});
-  for (const auto& cfg : nocs) {
-    xsim::Machine m(cfg);
-    const NocRun uni = warm_noc_run(m, xnoc::TrafficPattern::kUniform, 64);
-    const NocRun rot = warm_noc_run(m, xnoc::TrafficPattern::kTranspose, 64);
-    // One module serves the whole hot spot: 4 loads a thread already take
-    // 16 x tcus cycles.
-    const NocRun hot = warm_noc_run(m, xnoc::TrafficPattern::kHotSpot, 4);
-    n.add_row({cfg.name, xutil::format_fixed(uni.efficiency, 3),
-               xutil::format_fixed(rot.efficiency, 3),
-               xutil::format_fixed(hot.efficiency, 4),
-               std::to_string(uni.max_noc_queue),
-               std::to_string(rot.max_noc_queue)});
-  }
-  n.add_note("4 threads per TCU, 64 loads each (hot-spot: 4), to 8 "
-             "cache-resident lines per module; transpose shifts its window "
-             "every " +
-             std::to_string(xsim::kNocTransposeEpoch) + " loads");
-  n.add_note("transpose bursts cost throughput on a pure MoT too (fan-in "
-             "at the module window), so kNocTransposePerLevel stays a "
-             "calibration to Table IV; hot-spot is one module's rate, "
-             "1/clusters");
-  std::fputs(n.render().c_str(), stdout);
   return 0;
 }

@@ -5,7 +5,7 @@
 // prototype with up to 33% discrepancy (5% for the FFT); our model is
 // calibrated against the paper's published Table IV, and the calibration is
 // cross-checked by the cycle-level machine simulation (xsim::Machine) at
-// small scale. The machine's "NoC orderings" table (bench/micro_machine)
+// small scale. The machine's "NoC orderings" table (bench/micro_noc)
 // shows the orderings the NoC constants assume; its transpose penalty
 // appears on a pure MoT too, so kNocTransposePerLevel stays a calibration.
 #pragma once

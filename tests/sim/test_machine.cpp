@@ -270,6 +270,41 @@ TEST(MachineNoc, HotSpotThroughputIsOneModulesRate) {
   EXPECT_NEAR(noc_efficiency(r, cfg), 1.0 / 16.0, 0.02);
 }
 
+// The queued interconnect: every request drains, and neither a lone load
+// nor a loaded network beats the hop count or the port bound.
+TEST(QueueSim, AllPacketsDrainAndLatencyIsSane) {
+  const MachineConfig cfg = noc_config(16, 4, 4);
+  const auto r = warm_noc_run(cfg, xnoc::TrafficPattern::kUniform);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.threads_completed, 4u * cfg.tcus);
+  EXPECT_EQ(r.mem_requests, 4u * cfg.tcus * 64u);
+  EXPECT_GE(r.cycles, r.mem_requests / cfg.clusters);  // one LSU port each
+  EXPECT_GT(r.max_noc_queue, 0u);
+
+  Machine m(cfg);
+  const auto one = xsim::make_noc_pattern_generator(
+      m, xnoc::TrafficPattern::kUniform, 1);
+  (void)m.run_parallel_section(1, one);
+  const auto lone = m.run_parallel_section(1, one, /*keep_cache=*/true);
+  EXPECT_EQ(lone.mem_requests, 1u);
+  EXPECT_EQ(lone.cache_hits, 1u);
+  EXPECT_GE(lone.cycles, cfg.butterfly_levels);
+  EXPECT_LE(lone.max_noc_queue, 1u);  // queued behind nothing but itself
+}
+
+// The uniform pattern picks modules by a fixed hash of (thread, load), so
+// two fresh machines must agree on every observable.
+TEST(QueueSim, DeterministicForFixedSeed) {
+  const MachineConfig cfg = noc_config(16, 4, 4);
+  const auto a = warm_noc_run(cfg, xnoc::TrafficPattern::kUniform);
+  const auto b = warm_noc_run(cfg, xnoc::TrafficPattern::kUniform);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.mem_requests, b.mem_requests);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.max_mm_queue, b.max_mm_queue);
+  EXPECT_EQ(a.max_noc_queue, b.max_noc_queue);
+}
+
 // ---------------------------------------------------------------------------
 // FFT traffic through the detailed machine.
 // ---------------------------------------------------------------------------
